@@ -22,10 +22,10 @@ import (
 //	                                     (app injections + micros + the
 //	                                     masked-race example)
 //
-// Single-trace mode seeds the DFS with the static predictor's
-// predictions (disable with -seeds=false), so the verdict covers at
-// least everything the greedy PerturbTarget confirmation walk can
-// reach. The suite run gates itself: every dynamically observed race
+// Single-trace mode seeds the DFS with the trace-level predictive
+// analysis's predictions (disable with -seeds=false), so the verdict
+// covers at least everything the greedy PerturbTarget confirmation walk
+// can reach. The suite run gates itself: every dynamically observed race
 // and every greedy-confirmable prediction must be found, every witness
 // must verify, and -min-beyond requires at least N races reachable only
 // by systematic exploration.
@@ -39,7 +39,7 @@ func runExplore(args []string, stdout, stderr io.Writer) int {
 		maxSchedules = fs.Int("max-schedules", 0, "DFS schedule budget per trace (0: default)")
 		maxDepth     = fs.Int("max-depth", 0, "stop branching after this many scheduled ops (0: unlimited)")
 		maxPreempt   = fs.Int("max-preempt", 0, "preemption bound per schedule (0: unlimited)")
-		seeds        = fs.Bool("seeds", true, "seed the explorer with the static predictor's predictions")
+		seeds        = fs.Bool("seeds", true, "seed the explorer with the predictive analysis's predictions")
 		minBeyond    = fs.Int("min-beyond", -1, "with -suite: fail unless at least N races are reachable only by exploration")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -11,19 +11,15 @@
 //	scord-replay dump -ops 20 gcol.sctr
 //	scord-replay replay gcol.sctr
 //	scord-replay replay -detector all gcol.sctr
-//	scord-replay replay -perturb 500 -perturb-seed 7 gcol.sctr
 //	scord-replay predict gcol.sctr
 //	scord-replay predict -confirm gcol.sctr
 //	scord-replay explore gcol.sctr
 //	scord-replay explore -suite -min-beyond 1
 //	scord-replay table8 -dir traces/
 //
-// The replay subcommand's -perturb mode applies bounded, seeded
-// reorderings of concurrent accesses to the decoded stream before
-// detection, hunting schedule-dependent races the one recorded schedule
-// happened not to expose. Races found this way are candidates under some
-// warp schedule, not certainties; the test suite cross-checks them
-// against the static predictor's tuple set.
+// Schedule-dependent races the one recorded schedule happened not to
+// expose are the explore subcommand's job: it enumerates every
+// inequivalent legal reordering of the trace.
 package main
 
 import (
@@ -306,11 +302,8 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("scord-replay replay", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		detector    = fs.String("detector", "scord", "detector model: "+strings.Join(replay.TargetNames(), "|")+"|all")
-		mode        = fs.String("mode", "", "override the trace's detector mode for the scord target: off|base|scord|gran8|gran16")
-		perturb     = fs.Int("perturb", 0, "apply N bounded random reorderings of concurrent accesses before detection")
-		perturbSeed = fs.Int64("perturb-seed", 1, "perturbation seed (with -perturb)")
-		perturbDist = fs.Int("perturb-dist", 8, "max adjacent swaps one perturbation may travel (with -perturb)")
+		detector = fs.String("detector", "scord", "detector model: "+strings.Join(replay.TargetNames(), "|")+"|all")
+		mode     = fs.String("mode", "", "override the trace's detector mode for the scord target: off|base|scord|gran8|gran16")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -336,22 +329,16 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 	}
 
 	printHeader(stdout, r.Header())
-	if *perturb > 0 {
-		fmt.Fprintf(stdout, "perturb    %d swaps, dist %d, seed %d\n", *perturb, *perturbDist, *perturbSeed)
-	}
 
-	// Streaming replay suffices for a single unperturbed target; any
-	// perturbation or multi-target run decodes the trace once up front.
+	// Streaming replay suffices for a single target; a multi-target run
+	// decodes the trace once up front.
 	var ops []tracefile.Op
-	if *perturb > 0 || len(names) > 1 {
+	if len(names) > 1 {
 		var err error
 		ops, err = replay.ReadAll(r)
 		if err != nil {
 			fmt.Fprintln(stderr, "scord-replay replay:", err)
 			return 1
-		}
-		if *perturb > 0 {
-			ops = replay.Perturb(ops, *perturb, *perturbDist, *perturbSeed)
 		}
 	}
 

@@ -8,8 +8,6 @@ import (
 	"log/slog"
 	"runtime"
 
-	"scord/internal/analysis/framework"
-	"scord/internal/analysis/racepred"
 	"scord/internal/analysis/repair"
 	"scord/internal/harness"
 	"scord/internal/replay"
@@ -22,9 +20,8 @@ import (
 //	                                      injected-bug suite (26 app
 //	                                      injections + 32 micros)
 //
-// -repo wires in the racepred static oracle (abstract re-prediction over
-// patched dataflow traces); without it only the dynamic replay and the
-// predictive witness-schedule oracles gate each fix. -min-repaired turns
+// Each fix is gated by dynamic replay (with the sibling check) and by
+// predictive re-analysis with witness schedules. -min-repaired turns
 // the suite run into a CI gate: fewer fully repaired injections, or any
 // race-free configuration producing repair targets, exits non-zero.
 func runRepair(args []string, stdout, stderr io.Writer) int {
@@ -32,7 +29,6 @@ func runRepair(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		suite       = fs.Bool("suite", false, "repair the whole injected-bug suite instead of one trace")
-		repoRoot    = fs.String("repo", "", "module root for the racepred static oracle (empty: dynamic oracles only)")
 		jsonOut     = fs.Bool("json", false, "emit the report as JSON")
 		jobs        = fs.Int("jobs", runtime.GOMAXPROCS(0), "worker goroutines for -suite (output is identical at any value)")
 		minRepaired = fs.Int("min-repaired", -1, "with -suite: fail unless at least N injections are fully repaired and no race-free configuration regresses")
@@ -45,16 +41,16 @@ func runRepair(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *suite {
-		return runRepairSuite(fs, stdout, stderr, *repoRoot, *jsonOut, *jobs, *minRepaired)
+		return runRepairSuite(fs, stdout, stderr, *jsonOut, *jobs, *minRepaired)
 	}
 	if *minRepaired >= 0 {
 		fmt.Fprintln(stderr, "scord-replay repair: -min-repaired requires -suite")
 		return 2
 	}
-	return runRepairTrace(fs, stdout, stderr, *repoRoot, *jsonOut)
+	return runRepairTrace(fs, stdout, stderr, *jsonOut)
 }
 
-func runRepairTrace(fs *flag.FlagSet, stdout, stderr io.Writer, repoRoot string, jsonOut bool) int {
+func runRepairTrace(fs *flag.FlagSet, stdout, stderr io.Writer, jsonOut bool) int {
 	f, r, code := openTrace(fs, "repair", stderr)
 	if code != 0 {
 		return code
@@ -66,19 +62,7 @@ func runRepairTrace(fs *flag.FlagSet, stdout, stderr io.Writer, repoRoot string,
 		fmt.Fprintln(stderr, "scord-replay repair:", err)
 		return 1
 	}
-	var an *racepred.Analysis
-	if repoRoot != "" {
-		pkgs, err := framework.Load(repoRoot, "./internal/scor", "./internal/scor/micro")
-		if err != nil {
-			fmt.Fprintln(stderr, "scord-replay repair: loading packages:", err)
-			return 1
-		}
-		if an, err = racepred.Analyze(pkgs); err != nil {
-			fmt.Fprintln(stderr, "scord-replay repair: static analysis:", err)
-			return 1
-		}
-	}
-	rr := &repair.Repairer{Bench: h.Benchmark, Header: h, Ops: ops, Analysis: an}
+	rr := &repair.Repairer{Bench: h.Benchmark, Header: h, Ops: ops}
 	rep, err := rr.RepairAll()
 	if err != nil {
 		fmt.Fprintln(stderr, "scord-replay repair:", err)
@@ -103,11 +87,8 @@ func runRepairTrace(fs *flag.FlagSet, stdout, stderr io.Writer, repoRoot string,
 		if o.Repaired {
 			fmt.Fprintf(stdout, "repaired %s\n  fix      %s: %s\n", o.Target, o.Fix.Kind, o.Fix.Detail)
 			ev := o.Evidence
-			fmt.Fprintf(stdout, "  evidence replay-clean=%v predict-killed=%v perturb-clean=%v", ev.ReplayClean, ev.PredictKilled, ev.PerturbClean)
-			if ev.StaticChecked {
-				fmt.Fprintf(stdout, " static-killed=%v (enforced=%v)", ev.StaticKilled, ev.StaticEnforced)
-			}
-			fmt.Fprintf(stdout, "\n  overhead %d ops touched, %d ops inserted\n", ev.OpsTouched, ev.OpsInserted)
+			fmt.Fprintf(stdout, "  evidence replay-clean=%v predict-killed=%v perturb-clean=%v\n", ev.ReplayClean, ev.PredictKilled, ev.PerturbClean)
+			fmt.Fprintf(stdout, "  overhead %d ops touched, %d ops inserted\n", ev.OpsTouched, ev.OpsInserted)
 		} else {
 			fmt.Fprintf(stdout, "unrepaired %s: %s\n", o.Target, o.Reason)
 			for _, rej := range o.Rejected {
@@ -133,14 +114,14 @@ func repairExit(rep *repair.Report) int {
 	return 1
 }
 
-func runRepairSuite(fs *flag.FlagSet, stdout, stderr io.Writer, repoRoot string, jsonOut bool, jobs, minRepaired int) int {
+func runRepairSuite(fs *flag.FlagSet, stdout, stderr io.Writer, jsonOut bool, jobs, minRepaired int) int {
 	if fs.NArg() != 0 {
 		fmt.Fprintln(stderr, "scord-replay repair: -suite takes no trace argument")
 		return 2
 	}
 	logger := slog.New(slog.NewTextHandler(stderr, nil))
 	cancel := cancelOnSignal(logger)
-	table, err := harness.RunRepairSuite(harness.Options{Jobs: jobs, Cancel: cancel}, repoRoot)
+	table, err := harness.RunRepairSuite(harness.Options{Jobs: jobs, Cancel: cancel})
 	if err != nil {
 		fmt.Fprintln(stderr, "scord-replay repair:", err)
 		if canceled(cancel) {

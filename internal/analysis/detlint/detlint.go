@@ -76,6 +76,10 @@ var deterministicCore = map[string]bool{
 	// a pure function of (trace, options) — byte-identical at any -jobs —
 	// so it joins the core alongside predict.
 	"scord/internal/analysis/explore": true,
+	// Repair's suite report is promised byte-identical at any -jobs, and
+	// its worklist and veto reasons name targets, blocks and sites, so
+	// none of them may follow map order.
+	"scord/internal/analysis/repair": true,
 }
 
 func inDeterministicCore(pkgPath string) bool { return deterministicCore[pkgPath] }

@@ -20,7 +20,7 @@
 // Every race an explored schedule exposes is re-derived as a predictive
 // witness (predict.Run on that schedule) and independently re-verified
 // with predict.CheckWitness, so findings carry the same machine-checkable
-// evidence as the static predictor's.
+// evidence as the predictive analysis's own predictions.
 package explore
 
 import (
@@ -369,7 +369,7 @@ func addFindingsOps(v *Verdict, h tracefile.Header, sops []tracefile.Op, found m
 
 // newFinding derives and checks the predictive witness for one tuple on
 // the schedule that exposed it: the schedule is re-analysed by the
-// static predictor and the matching prediction's witness is verified
+// predictive analysis and the matching prediction's witness is verified
 // from scratch by predict.CheckWitness — independent, machine-checkable
 // evidence that the race is real on that schedule.
 func newFinding(h tracefile.Header, sops []tracefile.Op, hit tupleHit, idx int, seeded bool) Finding {

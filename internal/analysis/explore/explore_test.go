@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"scord/internal/analysis/explore"
+	"scord/internal/analysis/framework"
 	"scord/internal/analysis/predict"
+	"scord/internal/analysis/racepred"
 	"scord/internal/config"
 	"scord/internal/core"
 	"scord/internal/gpu"
@@ -213,7 +215,7 @@ func TestExploreBudgets(t *testing.T) {
 	}
 }
 
-// maskedPrediction runs the static predictor on the masked example and
+// maskedPrediction runs the predictive analysis on the masked example and
 // returns its (unique) masked-pair prediction.
 func maskedPrediction(h tracefile.Header, ops []tracefile.Op) (predict.Prediction, error) {
 	pres, err := predict.Run(h, ops, predict.Options{})
@@ -256,36 +258,6 @@ func TestSearcherFindsMaskedTuple(t *testing.T) {
 	}
 }
 
-// TestMaskedBeyondGreedyBudget: 1000 seeded runs of the standard random
-// perturbation budget all stay race-free — and provably must: the
-// nearest racy schedule is 402 adjacent transpositions away (the
-// contested stores' recorded gaps are 401 ops each), while the budget
-// performs at most swaps*maxDist = 400.
-func TestMaskedBeyondGreedyBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1000 perturbed replays")
-	}
-	h, ops := explore.MaskedRaceExample()
-	budget := explore.MaskedPerturbBudgetSwaps * explore.MaskedPerturbBudgetDist
-	if budget >= 402 {
-		t.Fatalf("budget %d transpositions reaches the masked race; the provability argument is void", budget)
-	}
-	for seed := int64(0); seed < 1000; seed++ {
-		p := replay.Perturb(ops, explore.MaskedPerturbBudgetSwaps, explore.MaskedPerturbBudgetDist, seed)
-		sc, err := replay.NewScoRD(h.Config)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := replay.RunOps(h, p, sc)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if len(res.Races) != 0 {
-			t.Fatalf("seed %d: random perturbation exposed %d races inside a provably safe budget", seed, len(res.Races))
-		}
-	}
-}
-
 // TestExploreSeeds: a seed prediction's greedy schedule is replayed even
 // when the DFS budget is too small to reach the tuple, keeping the
 // explorer a superset of the greedy confirmation walk.
@@ -317,5 +289,65 @@ func TestExploreSeeds(t *testing.T) {
 		if !v.Covers(p.Alloc, p.Record.Kind) {
 			t.Errorf("greedy-confirmable prediction %s/%s missing from the seeded verdict", p.Alloc, p.Record.Kind)
 		}
+	}
+}
+
+// TestExploreWithinStaticPredictions is the racepred recall cross-check,
+// driven by the explorer: every race tuple an explored schedule of a
+// micro exposes must be covered by one of the static predictor's
+// predictions for that micro. A finding outside that set is either a
+// legality bug (the explorer replayed an interleaving the program cannot
+// produce) or a predictor recall gap — both worth failing loudly.
+func TestExploreWithinStaticPredictions(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-threaded exploration sweep; -race coverage comes from the determinism tests")
+	}
+	if testing.Short() {
+		t.Skip("explores every micro and type-checks the benchmark packages")
+	}
+	pkgs, err := framework.Load("../../..", "./internal/scor", "./internal/scor/micro")
+	if err != nil {
+		t.Fatalf("loading benchmark packages: %v", err)
+	}
+	preds, err := racepred.Predict(pkgs)
+	if err != nil {
+		t.Fatalf("racepred: %v", err)
+	}
+	covered := func(bench, alloc string, kind core.RaceKind) bool {
+		for _, p := range preds {
+			if p.Bench == bench && p.Alloc == alloc && p.HasKind(kind) {
+				return true
+			}
+		}
+		return false
+	}
+
+	findings := 0
+	for _, m := range micro.All() {
+		t.Run(m.Name(), func(t *testing.T) {
+			h, ops := recordMicroOps(t, m.Name())
+			pres, err := predict.Run(h, ops, predict.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := explore.Explore(h, ops, explore.Options{Seeds: pres.Predictions})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range v.Races {
+				findings++
+				if f.Alloc == "" {
+					t.Errorf("schedule %d: %s race outside any allocation", f.Schedule, f.Kind)
+					continue
+				}
+				if !covered(m.Name(), f.Alloc, f.Kind) {
+					t.Errorf("schedule %d exposes %s race on %s/%s, which no static prediction covers",
+						f.Schedule, f.Kind, m.Name(), f.Alloc)
+				}
+			}
+		})
+	}
+	if findings == 0 {
+		t.Fatal("no micro produced a finding; the cross-check exercises nothing")
 	}
 }

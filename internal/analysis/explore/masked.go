@@ -8,7 +8,7 @@ import (
 )
 
 // MaskedRaceExample builds an in-memory trace carrying a scoped race
-// that systematic exploration finds but the greedy perturbation walk
+// that systematic exploration finds but the greedy witness walk
 // provably cannot: the canonical ICS/overlapping-locks shape.
 //
 // Three warps store to one word W under overlapping lock sets —
@@ -19,7 +19,7 @@ import (
 // from between them (every W-order except A,B,C and C,B,A) exposes a
 // missing-lock store race.
 //
-// The race is masked from the greedy walk three ways:
+// The race is masked from local search three ways:
 //
 //   - PerturbTarget(A, C): A's next op is a same-warp store (the wall
 //     Y), C's previous op is a same-warp store (the wall X) — neither
@@ -28,14 +28,12 @@ import (
 //   - predict suppresses (A, B) and (B, C): each pair shares a lock, so
 //     (A, C) is the only prediction — there is no other witness pair a
 //     greedy confirmation could ride.
-//   - Random Perturb: 400 independent single-word filler stores sit in
-//     each of the gaps A..B and B..C. Exposing the race needs B out
-//     from between A and C, i.e. inverting a pair whose recorded gap is
-//     401 ops, which takes at least 402 adjacent transpositions; a
-//     Perturb(ops, swaps, maxDist, seed) run performs at most
-//     swaps*maxDist of them. Any budget below 402 — including the
-//     suite's standard 50x8 — cannot reach a racy schedule for ANY
-//     seed, by the triangle inequality on Kendall tau distance.
+//   - Distance: 400 independent single-word filler stores sit in each
+//     of the gaps A..B and B..C. Exposing the race needs B out from
+//     between A and C, i.e. inverting a pair whose recorded gap is 401
+//     ops, so every racy schedule is at least 402 adjacent swaps (Kendall
+//     tau distance) from the recorded one: no walk of fewer legal swaps
+//     reaches a racy schedule.
 //
 // The explorer's singleton persistent-set rule drains the 800 fillers
 // without branching, leaving exactly the six orderings of {A, B, C}:
@@ -120,12 +118,3 @@ func MaskedRaceExample() (tracefile.Header, []tracefile.Op) {
 	ops = append(ops, tracefile.Op{Kind: tracefile.OpKernelEnd, Name: "masked"})
 	return h, ops
 }
-
-// MaskedPerturbBudgetSwaps/Dist are the standard greedy-hunt budget the
-// masked example is provably out of reach of: swaps*maxDist = 400
-// adjacent transpositions, two short of the 402 the nearest racy
-// schedule requires.
-const (
-	MaskedPerturbBudgetSwaps = 50
-	MaskedPerturbBudgetDist  = 8
-)

@@ -1,6 +1,6 @@
 //go:build !race
 
-package replay_test
+package explore_test
 
 // raceEnabled reports that this test binary was built with -race.
 const raceEnabled = false

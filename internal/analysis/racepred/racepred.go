@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 
+	"scord/internal/analysis/dataflow"
 	"scord/internal/analysis/framework"
 	"scord/internal/core"
 )
@@ -37,16 +38,19 @@ type Prediction struct {
 	Sites []string
 }
 
-// Predict analyzes the loaded benchmark packages and returns the
-// predicted races sorted by (Bench, Alloc). Callers that re-predict
-// (per bench, or against patched traces) should use Analyze and keep
-// the Analysis instead.
+// Predict interprets every kernel launch of the loaded benchmark
+// packages once, classifies each launch's operation pairs, and returns
+// the predicted races sorted by (Bench, Alloc).
 func Predict(pkgs []*framework.Package) ([]Prediction, error) {
-	a, err := Analyze(pkgs)
+	roots, err := discoverRoots(dataflow.NewWorld(pkgs...), pkgs)
 	if err != nil {
 		return nil, err
 	}
-	return a.Predict(), nil
+	col := newCollector()
+	for _, rt := range roots {
+		classifyRoot(col, rt)
+	}
+	return col.list(), nil
 }
 
 // collector merges per-pair emissions into (bench, alloc) predictions.

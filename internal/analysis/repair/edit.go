@@ -11,12 +11,10 @@ import (
 )
 
 // Edit is one concrete candidate repair: a fix-vocabulary kind plus the
-// anchors needed to apply it both to a recorded SCTR trace (ApplyTrace)
-// and to the abstract dataflow traces racepred classifies
-// (AbstractPatcher). Edits anchor by allocation name and operation
-// class, never by trace offset, so one edit applies uniformly to the
-// primary trace, to perturbed schedules, to sibling traces of the same
-// benchmark, and to the abstract IR.
+// anchors needed to apply it to a recorded SCTR trace (ApplyTrace).
+// Edits anchor by allocation name and operation class, never by trace
+// offset, so one edit applies uniformly to the primary trace, to
+// perturbed schedules, and to sibling traces of the same benchmark.
 type Edit struct {
 	// Kind is the edit kind, in the shared fix vocabulary.
 	Kind fix.Kind
@@ -347,14 +345,27 @@ func insertBarrierTrace(e Edit, ops []tracefile.Op) ([]tracefile.Op, PatchStats,
 				sitesBefore[k][op.Access.Site] = true
 			}
 		}
-		for k, p := range pos {
+		// Visit blocks in order, so a failing split always names the
+		// lowest failing block and its first straddling site.
+		keys := make([]blockKey, 0, len(pos))
+		for k := range pos {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i].block < keys[j].block })
+		for _, k := range keys {
+			p := pos[k]
 			if sitesBefore[k][""] || sitesAfter[k][""] {
 				return fmt.Errorf("repair: block %d has unlabeled accesses; barrier split cannot be anchored", k.block)
 			}
+			var straddle []string
 			for s := range sitesAfter[k] {
 				if sitesBefore[k][s] {
-					return fmt.Errorf("repair: site %q appears on both sides of the barrier point in block %d (mid-loop split)", s, k.block)
+					straddle = append(straddle, s)
 				}
+			}
+			if len(straddle) > 0 {
+				sort.Strings(straddle)
+				return fmt.Errorf("repair: site %q appears on both sides of the barrier point in block %d (mid-loop split)", straddle[0], k.block)
 			}
 			var ws []int
 			for w := range warps[k] {

@@ -1,23 +1,20 @@
 // Package repair synthesizes minimal-cost fixes for confirmed scoped
-// races. Given a recorded SCTR trace of a racy benchmark (and,
-// optionally, the static predictor's retained analysis of its source),
-// it enumerates candidate edits over the shared fix vocabulary in
-// increasing cost order — scope promotion, fence strengthening, fence
-// insertion, barrier insertion, weak-to-atomic demotion — and accepts
-// the first candidate that survives three independent oracles:
+// races. Given a recorded SCTR trace of a racy benchmark, it enumerates
+// candidate edits over the shared fix vocabulary in increasing cost
+// order — scope promotion, fence strengthening, fence insertion, barrier
+// insertion, weak-to-atomic demotion — and accepts the first candidate
+// that survives two independent oracles:
 //
 //  1. the recorded schedule, replayed through the patched semantics by
 //     the real ScoRD detector model, must drop the target race and gain
-//     none;
+//     none, and sibling traces of the same benchmark must not regress;
 //  2. the sound predictive analysis over the patched trace must no
 //     longer reach the target in any legal reordering — every surviving
 //     or new prediction is attacked with a PerturbTarget witness
-//     schedule and must stay unconfirmed — and sibling traces of the
-//     same benchmark must not regress;
-//  3. the static racepred oracle, re-run over abstractly patched
-//     dataflow traces, must predict no new race; for edit kinds it
-//     models exactly (promotion, barrier insertion) it must also stop
-//     predicting the target.
+//     schedule and must stay unconfirmed.
+//
+// Repair is a pure function of the trace (and its siblings): it needs
+// neither the benchmark source nor a Go toolchain.
 //
 // Repair iterates: after an edit is accepted the trace state is
 // recomputed and the next remaining confirmed race is attacked, so one
@@ -29,10 +26,8 @@ import (
 	"fmt"
 	"sort"
 
-	"scord/internal/analysis/dataflow"
 	"scord/internal/analysis/fix"
 	"scord/internal/analysis/predict"
-	"scord/internal/analysis/racepred"
 	"scord/internal/tracefile"
 )
 
@@ -45,18 +40,13 @@ type Sibling struct {
 	Ops    []tracefile.Op
 }
 
-// Repairer holds one benchmark's repair session. Bench must match the
-// benchmark name racepred uses (the app's table name, or the micro's
-// literal name) when Analysis is supplied.
+// Repairer holds one benchmark's repair session. Bench labels the
+// report.
 type Repairer struct {
 	Bench    string
 	Header   tracefile.Header
 	Ops      []tracefile.Op
 	Siblings []Sibling
-	// Analysis is the optional static oracle: racepred's retained
-	// abstract interpretation of the suite source. nil disables the
-	// static leg (the two dynamic oracles still gate every fix).
-	Analysis *racepred.Analysis
 	// Searcher, when non-nil, upgrades both confirmation legs from the
 	// greedy PerturbTarget walk to systematic schedule exploration
 	// (normally an *explore.Searcher): the worklist gains races only
@@ -65,9 +55,7 @@ type Repairer struct {
 	// nil preserves the legacy greedy behavior exactly.
 	Searcher predict.Searcher
 
-	applied  []Edit
-	sibBase  map[string]map[Target]bool
-	benchSet map[string]bool
+	sibBase map[string]map[Target]bool
 }
 
 // Outcome records the repair attempt for one target.
@@ -96,42 +84,6 @@ type Report struct {
 	OpsInserted int `json:"ops_inserted"`
 }
 
-// Applied returns the accepted edits in acceptance order.
-func (r *Repairer) Applied() []Edit { return append([]Edit{}, r.applied...) }
-
-func (r *Repairer) staticBench() bool {
-	if r.Analysis == nil {
-		return false
-	}
-	if r.benchSet == nil {
-		r.benchSet = map[string]bool{}
-		for _, b := range r.Analysis.Benches() {
-			r.benchSet[b] = true
-		}
-	}
-	return r.benchSet[r.Bench]
-}
-
-// composeAbstract chains the abstract patchers of the edits in order,
-// still copy-on-write end to end. nil when there is nothing to apply.
-func composeAbstract(edits []Edit) func(*dataflow.Result) *dataflow.Result {
-	if len(edits) == 0 {
-		return nil
-	}
-	return func(tr *dataflow.Result) *dataflow.Result {
-		out, changed := tr, false
-		for _, e := range edits {
-			if p := AbstractPatcher(e)(out); p != nil {
-				out, changed = p, true
-			}
-		}
-		if !changed {
-			return nil
-		}
-		return out
-	}
-}
-
 // confirmedTargets is the repair worklist: every tuple the detector
 // observes on the current schedule, plus every prediction confirmed by a
 // perturbed witness schedule. Predictions falling outside any recorded
@@ -154,6 +106,13 @@ func (r *Repairer) confirmedTargets(st *state) ([]Target, error) {
 			set[t] = true
 		}
 	}
+	return sortedTargets(set), nil
+}
+
+// sortedTargets lists a target set in (Alloc, Kind) order, so the
+// worklist and every veto reason that names a target are independent of
+// map iteration order.
+func sortedTargets(set map[Target]bool) []Target {
 	out := make([]Target, 0, len(set))
 	for t := range set {
 		out = append(out, t)
@@ -164,7 +123,7 @@ func (r *Repairer) confirmedTargets(st *state) ([]Target, error) {
 		}
 		return out[i].Kind < out[j].Kind
 	})
-	return out, nil
+	return out
 }
 
 // maxIterations bounds the repair loop far above any real worklist
@@ -210,7 +169,6 @@ func (r *Repairer) RepairAll() (*Report, error) {
 				continue
 			}
 			r.Ops = pops
-			r.applied = append(r.applied, e)
 			f := e.Fix()
 			out.Repaired, out.Fix, out.Evidence = true, &f, &ev
 			rep.OpsTouched += ev.OpsTouched

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"scord/internal/analysis/fix"
-	"scord/internal/analysis/framework"
-	"scord/internal/analysis/racepred"
 	"scord/internal/config"
 	"scord/internal/core"
 	"scord/internal/gpu"
@@ -242,32 +240,28 @@ func TestDemoteLastResort(t *testing.T) {
 	}
 }
 
-// TestRepairStaticOracle wires the racepred abstract oracle into a
-// repair session: the accepted promotion must pass the enforced static
-// kill (the patched abstract traces stop predicting the scoped-atomic
-// race) with no new static predictions.
-func TestRepairStaticOracle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads benchmark packages via go list in -short mode")
+// TestInsertBarrierErrorDeterministic: when several blocks fail the
+// barrier split, the error must name the same block on every call, not
+// whichever block map iteration order yields first.
+func TestInsertBarrierErrorDeterministic(t *testing.T) {
+	access := func(block int, site string) tracefile.Op {
+		return tracefile.Op{Kind: tracefile.OpAccess, Access: core.Access{
+			Kind: core.KindLoad, Addr: 0x100, Block: block, Site: site,
+		}}
 	}
-	pkgs, err := framework.Load("../../..", "./internal/scor", "./internal/scor/micro")
-	if err != nil {
-		t.Fatalf("Load: %v", err)
+	// Site "a" runs on both sides of the "b" split point in each block:
+	// a mid-loop split, which both blocks reject. Block 1 comes first in
+	// the stream so stream order cannot stand in for block order.
+	ops := []tracefile.Op{{Kind: tracefile.OpKernel, Name: "k"}}
+	for _, b := range []int{1, 0} {
+		ops = append(ops, access(b, "a"), access(b, "b"), access(b, "a"))
 	}
-	an, err := racepred.Analyze(pkgs)
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	m := findMicro(t, "atom.racey.block-cross")
-	h, ops := record(t, m, nil)
-	r := &Repairer{Bench: m.Name(), Header: h, Ops: ops, Analysis: an}
-	rep, err := r.RepairAll()
-	if err != nil {
-		t.Fatalf("RepairAll: %v", err)
-	}
-	assertRepaired(t, r, rep)
-	ev := rep.Outcomes[0].Evidence
-	if !ev.StaticChecked || !ev.StaticEnforced || !ev.StaticKilled {
-		t.Errorf("static oracle evidence incomplete: %+v", ev)
+	e := Edit{Kind: fix.InsertBarrier, CurSites: []string{"b"}}
+	const want = `repair: site "a" appears on both sides of the barrier point in block 0 (mid-loop split)`
+	for i := 0; i < 20; i++ {
+		_, _, err := ApplyTrace(e, ops)
+		if err == nil || err.Error() != want {
+			t.Fatalf("call %d: err = %v, want %q", i, err, want)
+		}
 	}
 }

@@ -3,18 +3,15 @@ package repair
 import (
 	"fmt"
 
-	"scord/internal/analysis/fix"
 	"scord/internal/analysis/predict"
-	"scord/internal/analysis/racepred"
 	"scord/internal/mem"
 	"scord/internal/replay"
 	"scord/internal/tracefile"
 )
 
 // Evidence is the verification record attached to every accepted repair:
-// which oracles ran and what each established. A fix is never accepted
-// on static grounds alone — ReplayClean, PerturbClean and SiblingsClean
-// all had to hold.
+// what each oracle established. ReplayClean, PerturbClean and
+// SiblingsClean all had to hold.
 type Evidence struct {
 	// ReplayClean: the recorded schedule, replayed through the patched
 	// semantics by the real ScoRD model, no longer reports the target and
@@ -28,19 +25,6 @@ type Evidence struct {
 	// PerturbTarget witness schedule, replayed through the patched
 	// semantics, stays race-free.
 	PerturbClean bool `json:"perturb_clean"`
-	// StaticChecked: the racepred abstract oracle ran (an Analysis was
-	// supplied and it models this benchmark).
-	StaticChecked bool `json:"static_checked"`
-	// StaticKilled: the patched abstract traces no longer predict the
-	// target. Enforced (StaticEnforced) only for edit kinds whose effect
-	// the classifier models exactly — scope promotion and barrier
-	// insertion; for fence edits racepred's calibrated HB path demands an
-	// atomic release-observe chain a bare fence does not constitute, so
-	// the dynamic oracles carry acceptance and the static kill is
-	// recorded as evidence only. The no-new-predictions rule is enforced
-	// for every kind regardless.
-	StaticKilled   bool `json:"static_killed"`
-	StaticEnforced bool `json:"static_enforced"`
 	// SiblingsClean: the edit, applied to every sibling trace of the
 	// benchmark (other configurations of the same program), introduced no
 	// race there either.
@@ -49,13 +33,6 @@ type Evidence struct {
 	// recorded trace.
 	OpsTouched  int `json:"ops_touched"`
 	OpsInserted int `json:"ops_inserted"`
-}
-
-// staticEnforced lists the edit kinds whose abstract kill the static
-// oracle must prove (see Evidence.StaticKilled).
-var staticEnforced = map[fix.Kind]bool{
-	fix.PromoteScope:  true,
-	fix.InsertBarrier: true,
 }
 
 // dynamicTuples replays ops through the real detector and returns the
@@ -87,15 +64,12 @@ func toObserved(dyn map[Target]bool) map[predict.Tuple]bool {
 }
 
 // state is the per-iteration snapshot of the current trace's races: what
-// the detector observes, what the predictor predicts, and what the
-// static oracle (with all accepted edits applied) still claims.
+// the detector observes and what the predictor predicts.
 type state struct {
 	dyn        map[Target]bool
 	observed   map[predict.Tuple]bool
 	pred       *predict.Result
 	predTuples map[Target]bool
-	staticCur  map[Target]bool
-	staticOK   bool
 }
 
 func (r *Repairer) computeState() (*state, error) {
@@ -112,21 +86,7 @@ func (r *Repairer) computeState() (*state, error) {
 	for _, t := range st.pred.Tuples() {
 		st.predTuples[Target{Alloc: t.Alloc, Kind: t.Kind}] = true
 	}
-	if r.Analysis != nil && r.staticBench() {
-		st.staticOK = true
-		st.staticCur = staticSet(r.Analysis.PredictPatched(r.Bench, composeAbstract(r.applied)))
-	}
 	return st, nil
-}
-
-func staticSet(preds []racepred.Prediction) map[Target]bool {
-	out := map[Target]bool{}
-	for _, p := range preds {
-		for _, k := range p.Kinds {
-			out[Target{Alloc: p.Alloc, Kind: k}] = true
-		}
-	}
-	return out
 }
 
 // verify runs a candidate through every oracle. ok reports acceptance;
@@ -147,7 +107,7 @@ func (r *Repairer) verify(st *state, target Target, e Edit) (pops []tracefile.Op
 	if pdyn[target] {
 		return nil, ev, false, "replay still reports the target race"
 	}
-	for t := range pdyn {
+	for _, t := range sortedTargets(pdyn) {
 		if !st.dyn[t] {
 			return nil, ev, false, fmt.Sprintf("replay reports new race %s", t)
 		}
@@ -184,22 +144,6 @@ func (r *Repairer) verify(st *state, target Target, e Edit) (pops []tracefile.Op
 	}
 	ev.PerturbClean = true
 
-	// Oracle 3 — static re-prediction over the patched abstract traces.
-	if st.staticOK {
-		ev.StaticChecked = true
-		ev.StaticEnforced = staticEnforced[e.Kind]
-		pset := staticSet(r.Analysis.PredictPatched(r.Bench, composeAbstract(append(append([]Edit{}, r.applied...), e))))
-		for t := range pset {
-			if !st.staticCur[t] {
-				return nil, ev, false, fmt.Sprintf("static oracle predicts new race %s", t)
-			}
-		}
-		ev.StaticKilled = !pset[target]
-		if ev.StaticEnforced && !ev.StaticKilled {
-			return nil, ev, false, "static oracle still predicts the target"
-		}
-	}
-
 	// Oracle 1b — sibling traces: the same edit, applied to the
 	// benchmark's other recorded configurations, must not regress them.
 	for _, sib := range r.Siblings {
@@ -212,7 +156,7 @@ func (r *Repairer) verify(st *state, target Target, e Edit) (pops []tracefile.Op
 			return nil, ev, false, fmt.Sprintf("sibling %s replay failed: %v", sib.Label, err)
 		}
 		base := r.sibBase[sib.Label]
-		for t := range sdyn {
+		for _, t := range sortedTargets(sdyn) {
 			if !base[t] {
 				return nil, ev, false, fmt.Sprintf("sibling %s gains race %s", sib.Label, t)
 			}

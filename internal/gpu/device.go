@@ -203,47 +203,6 @@ type OpSink interface {
 // SetOpSink attaches the memory-op stream recorder (nil detaches it).
 func (d *Device) SetOpSink(s OpSink) { d.sink = s }
 
-// teeOpSink fans the op stream out to two sinks in order.
-type teeOpSink struct{ a, b OpSink }
-
-func (t teeOpSink) KernelStart(name string, blocks, threads int, cycle uint64) {
-	t.a.KernelStart(name, blocks, threads, cycle)
-	t.b.KernelStart(name, blocks, threads, cycle)
-}
-func (t teeOpSink) KernelEnd(name string, cycle uint64) {
-	t.a.KernelEnd(name, cycle)
-	t.b.KernelEnd(name, cycle)
-}
-func (t teeOpSink) Alloc(name string, base, size uint64) {
-	t.a.Alloc(name, base, size)
-	t.b.Alloc(name, base, size)
-}
-func (t teeOpSink) Access(a core.Access, aop core.AtomicOp, size uint32) {
-	t.a.Access(a, aop, size)
-	t.b.Access(a, aop, size)
-}
-func (t teeOpSink) Fence(block, warp int, scope core.Scope, cycle uint64, fromBarrier bool) {
-	t.a.Fence(block, warp, scope, cycle, fromBarrier)
-	t.b.Fence(block, warp, scope, cycle, fromBarrier)
-}
-func (t teeOpSink) Barrier(block int, id uint8, warps int, cycle uint64) {
-	t.a.Barrier(block, id, warps, cycle)
-	t.b.Barrier(block, id, warps, cycle)
-}
-
-// TeeOpSink combines two op sinks (e.g. a trace recorder and the span
-// builder) into one; either may be nil, in which case the other is
-// returned unwrapped.
-func TeeOpSink(a, b OpSink) OpSink {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return teeOpSink{a, b}
-}
-
 // Stats returns the accumulated simulation statistics.
 func (d *Device) Stats() *stats.Stats { return &d.st }
 

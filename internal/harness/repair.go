@@ -7,8 +7,6 @@ import (
 	"strings"
 
 	"scord/internal/analysis/fix"
-	"scord/internal/analysis/framework"
-	"scord/internal/analysis/racepred"
 	"scord/internal/analysis/repair"
 	"scord/internal/config"
 	"scord/internal/gpu"
@@ -23,8 +21,7 @@ import (
 // injection (26 single-injection configurations) and every base micro
 // (32) is recorded, repaired, and reported. Each job builds its own
 // device and benchmark instances and writes into an order-indexed slot,
-// so the table is byte-identical at any Jobs value. The racepred static
-// oracle is built once, sequentially, and shared read-only by the jobs.
+// so the table is byte-identical at any Jobs value.
 
 // AppliedFix is one accepted repair with its verification evidence.
 type AppliedFix struct {
@@ -236,7 +233,7 @@ func repairRowFromReport(rep *repair.Report) RepairRow {
 
 // repairApp repairs one app injection, with the uninjected base trace as
 // the sibling regression oracle.
-func repairApp(appIdx int, inj string, an *racepred.Analysis) (RepairRow, error) {
+func repairApp(appIdx int, inj string) (RepairRow, error) {
 	b := scor.Apps()[appIdx]
 	h, ops, err := recordRepairTrace(b, []string{inj})
 	if err != nil {
@@ -252,7 +249,6 @@ func repairApp(appIdx int, inj string, an *racepred.Analysis) (RepairRow, error)
 		Header:   h,
 		Ops:      ops,
 		Siblings: []repair.Sibling{{Label: "base", Header: bh, Ops: bops}},
-		Analysis: an,
 	}
 	rep, err := r.RepairAll()
 	if err != nil {
@@ -265,13 +261,13 @@ func repairApp(appIdx int, inj string, an *racepred.Analysis) (RepairRow, error)
 }
 
 // repairMicro repairs one base-suite micro.
-func repairMicro(mi int, an *racepred.Analysis) (RepairRow, error) {
+func repairMicro(mi int) (RepairRow, error) {
 	m := micro.All()[mi]
 	h, ops, err := recordRepairTrace(m, nil)
 	if err != nil {
 		return RepairRow{}, err
 	}
-	r := &repair.Repairer{Bench: m.Name(), Header: h, Ops: ops, Analysis: an}
+	r := &repair.Repairer{Bench: m.Name(), Header: h, Ops: ops}
 	rep, err := r.RepairAll()
 	if err != nil {
 		return RepairRow{}, err
@@ -285,22 +281,8 @@ func repairMicro(mi int, an *racepred.Analysis) (RepairRow, error) {
 }
 
 // RunRepairSuite records and repairs every injected-bug configuration
-// (each app's single injections) plus every base micro. repoRoot, when
-// non-empty, locates the module so the racepred static oracle can be
-// built and wired into every repair session; empty disables the static
-// leg (the dynamic and predictive oracles still gate every fix).
-func RunRepairSuite(opt Options, repoRoot string) (*RepairTable, error) {
-	var an *racepred.Analysis
-	if repoRoot != "" {
-		pkgs, err := framework.Load(repoRoot, "./internal/scor", "./internal/scor/micro")
-		if err != nil {
-			return nil, fmt.Errorf("loading benchmark packages: %w", err)
-		}
-		if an, err = racepred.Analyze(pkgs); err != nil {
-			return nil, fmt.Errorf("static analysis: %w", err)
-		}
-	}
-
+// (each app's single injections) plus every base micro.
+func RunRepairSuite(opt Options) (*RepairTable, error) {
 	type jobSpec struct {
 		app int // -1 for micro jobs
 		inj string
@@ -336,9 +318,9 @@ func RunRepairSuite(opt Options, repoRoot string) (*RepairTable, error) {
 					err error
 				)
 				if spec.app >= 0 {
-					row, err = repairApp(spec.app, spec.inj, an)
+					row, err = repairApp(spec.app, spec.inj)
 				} else {
-					row, err = repairMicro(spec.mi, an)
+					row, err = repairMicro(spec.mi)
 				}
 				if err != nil {
 					return err

@@ -25,7 +25,7 @@ func repairRowsForMicros(t *testing.T, names []string, jobs int) []RepairRow {
 		sims = append(sims, Sim{
 			Label: "repair/" + name,
 			Run: func() error {
-				row, err := repairMicro(mi, nil)
+				row, err := repairMicro(mi)
 				if err != nil {
 					return err
 				}

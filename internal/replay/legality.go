@@ -9,9 +9,8 @@ import (
 )
 
 // This file is the single home of the schedule-legality rules every
-// reordering consumer shares: Perturb's random walks, PerturbTarget's
-// greedy witness search, and the exhaustive explorer
-// (internal/analysis/explore). A legal alternative schedule is one
+// reordering consumer shares: PerturbTarget's greedy witness search and
+// the exhaustive explorer (internal/analysis/explore). A legal alternative schedule is one
 // reachable from the recorded order by adjacent swaps that Swappable
 // permits; CheckSchedule verifies the equivalent closed-form
 // characterization, so generators and checkers cannot drift apart.

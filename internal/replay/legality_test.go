@@ -2,6 +2,7 @@ package replay_test
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"scord/internal/config"
@@ -52,19 +53,28 @@ func recordLegalityOps(t *testing.T, name string) []tracefile.Op {
 	return ops
 }
 
-// TestCheckScheduleAcceptsPerturbations: every schedule the two
-// perturbation generators emit is by construction a product of
-// Swappable adjacent exchanges, so the closed-form checker must accept
-// all of them.
+// TestCheckScheduleAcceptsPerturbations: seeded random walks of
+// Swappable adjacent exchanges and PerturbTarget's greedy walk both emit
+// products of Swappable exchanges by construction, so the closed-form
+// checker must accept all of them.
 func TestCheckScheduleAcceptsPerturbations(t *testing.T) {
 	ops := recordLegalityOps(t, "fence.racey.cross-none")
 	if err := replay.CheckSchedule(ops, ops); err != nil {
 		t.Fatalf("identity schedule rejected: %v", err)
 	}
+	// Each walk moves 50 random ops forward by up to 8 legal swaps.
 	for seed := int64(0); seed < 20; seed++ {
-		p := replay.Perturb(ops, 50, 8, seed)
+		rng := rand.New(rand.NewSource(seed))
+		p := append([]tracefile.Op(nil), ops...)
+		for s := 0; s < 50; s++ {
+			i := rng.Intn(len(p) - 1)
+			for k := 1 + rng.Intn(8); k > 0 && i+1 < len(p) && replay.Swappable(p[i], p[i+1]); k-- {
+				p[i], p[i+1] = p[i+1], p[i]
+				i++
+			}
+		}
 		if err := replay.CheckSchedule(ops, p); err != nil {
-			t.Fatalf("seed %d: Perturb schedule rejected: %v", seed, err)
+			t.Fatalf("seed %d: random swap walk rejected: %v", seed, err)
 		}
 	}
 	// Drive every access pair the greedy walker accepts through the

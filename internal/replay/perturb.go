@@ -1,53 +1,13 @@
 package replay
 
-import (
-	"math/rand"
-
-	"scord/internal/tracefile"
-)
-
-// Perturb returns a copy of ops with up to swaps bounded, seeded
-// reorderings applied: each round picks a random access op and walks it
-// forward by up to maxDist adjacent swaps, stopping at the first illegal
-// exchange. The result is a plausible alternative interleaving of the
-// recorded execution, used to hunt schedule-dependent races that the one
-// recorded schedule happened not to expose.
-//
-// A swap is legal exactly when Swappable permits it (see legality.go
-// for the shared rules: program order, fence/barrier/kernel pinning,
-// same-word synchronization). Races found under perturbation are
-// candidates under *some* warp schedule, not certainties; the
-// cross-check against the static predictor's tuple set (racepred) keeps
-// the hunt honest.
-//
-// Perturb is deterministic for a given (ops, swaps, maxDist, seed).
-func Perturb(ops []tracefile.Op, swaps, maxDist int, seed int64) []tracefile.Op {
-	out := make([]tracefile.Op, len(ops))
-	copy(out, ops)
-	if len(out) < 2 || swaps <= 0 || maxDist <= 0 {
-		return out
-	}
-	rng := rand.New(rand.NewSource(seed))
-	for s := 0; s < swaps; s++ {
-		i := rng.Intn(len(out) - 1)
-		dist := 1 + rng.Intn(maxDist)
-		for k := 0; k < dist && i+1 < len(out); k++ {
-			if !Swappable(out[i], out[i+1]) {
-				break
-			}
-			out[i], out[i+1] = out[i+1], out[i]
-			i++
-		}
-	}
-	return out
-}
+import "scord/internal/tracefile"
 
 // PerturbTarget searches for a legality-preserving reordering of ops
 // that makes the pair (i, j) adjacent, i < j: it greedily walks op j
-// backward and op i forward through legal adjacent swaps (the same
-// legality relation Perturb uses, so program order, fences, barriers,
-// kernel boundaries and same-word synchronization are all respected)
-// until the two meet or neither can move. It returns the perturbed
+// backward and op i forward through legal adjacent swaps (Swappable, so
+// program order, fences, barriers, kernel boundaries and same-word
+// synchronization are all respected) until the two meet or neither can
+// move. It returns the perturbed
 // schedule, the pair's new positions, and whether adjacency was reached.
 //
 // The predict confirmation gate uses this to turn a predicted-race

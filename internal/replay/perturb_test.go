@@ -6,12 +6,9 @@ import (
 	"reflect"
 	"testing"
 
-	"scord/internal/analysis/framework"
-	"scord/internal/analysis/racepred"
 	"scord/internal/config"
 	"scord/internal/core"
 	"scord/internal/gpu"
-	"scord/internal/mem"
 	"scord/internal/replay"
 	"scord/internal/scor"
 	"scord/internal/scor/micro"
@@ -46,132 +43,6 @@ func recordOps(t *testing.T, b scor.Benchmark, cfg config.Config) (tracefile.Hea
 		t.Fatal(err)
 	}
 	return tr.Header(), ops
-}
-
-// TestPerturbInvariants checks the structural guarantees Perturb makes:
-// deterministic for a seed, a permutation of the input, per-warp program
-// order intact, and every non-access op (fence, barrier, kernel, alloc)
-// pinned at its original index.
-func TestPerturbInvariants(t *testing.T) {
-	cfg := config.Default().WithDetector(config.ModeFull4B)
-	bench := &scor.Conv1D{N: 1024, Taps: 9, Blocks: 4, TPB: 64}
-	_, ops := recordOps(t, bench, cfg)
-	if len(ops) < 1000 {
-		t.Fatalf("%s recorded only %d ops", bench.Name(), len(ops))
-	}
-	a := replay.Perturb(ops, len(ops)/2, 8, 42)
-	b := replay.Perturb(ops, len(ops)/2, 8, 42)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("Perturb is not deterministic for a fixed seed")
-	}
-	if len(a) != len(ops) {
-		t.Fatalf("length changed: %d -> %d", len(ops), len(a))
-	}
-
-	count := func(s []tracefile.Op) map[string]int {
-		c := map[string]int{}
-		for _, op := range s {
-			c[fmt.Sprintf("%+v", op)]++
-		}
-		return c
-	}
-	if !reflect.DeepEqual(count(ops), count(a)) {
-		t.Fatal("perturbed sequence is not a permutation of the original")
-	}
-
-	warpSeq := func(s []tracefile.Op) map[[2]int][]core.Access {
-		seq := map[[2]int][]core.Access{}
-		for _, op := range s {
-			if op.Kind == tracefile.OpAccess {
-				k := [2]int{op.Access.Block, op.Access.Warp}
-				seq[k] = append(seq[k], op.Access)
-			}
-		}
-		return seq
-	}
-	if !reflect.DeepEqual(warpSeq(ops), warpSeq(a)) {
-		t.Fatal("per-warp program order changed")
-	}
-
-	for i := range ops {
-		if ops[i].Kind != tracefile.OpAccess {
-			if !reflect.DeepEqual(a[i], ops[i]) {
-				t.Fatalf("non-access op at index %d moved: %v -> %v", i, ops[i].Kind, a[i].Kind)
-			}
-		}
-	}
-}
-
-func TestPerturbZeroBudgetIsIdentity(t *testing.T) {
-	cfg := config.Default().WithDetector(config.ModeFull4B)
-	_, ops := recordOps(t, micro.All()[0], cfg)
-	if got := replay.Perturb(ops, 0, 8, 1); !reflect.DeepEqual(got, ops) {
-		t.Fatal("swaps=0 changed the sequence")
-	}
-	if got := replay.Perturb(ops, 10, 0, 1); !reflect.DeepEqual(got, ops) {
-		t.Fatal("maxDist=0 changed the sequence")
-	}
-}
-
-// TestPerturbWithinStaticPredictions is the cross-check the perturbation
-// mode rests on: races surfaced by replaying perturbed interleavings of
-// any microbenchmark must land inside the static predictor's
-// over-approximate tuple set. A perturbed race outside that set is
-// either a perturbation legality bug (it fabricated an unreachable
-// interleaving) or a predictor recall gap — both worth failing loudly.
-func TestPerturbWithinStaticPredictions(t *testing.T) {
-	if raceEnabled {
-		t.Skip("perturbation sweep is single-threaded compute; -race coverage comes from the replay tests")
-	}
-	if testing.Short() {
-		t.Skip("replays every micro under several perturbation seeds")
-	}
-	pkgs, err := framework.Load("../..", "./internal/scor", "./internal/scor/micro")
-	if err != nil {
-		t.Fatalf("loading benchmark packages: %v", err)
-	}
-	preds, err := racepred.Predict(pkgs)
-	if err != nil {
-		t.Fatalf("racepred: %v", err)
-	}
-	covered := func(bench, alloc string, kind core.RaceKind) bool {
-		for _, p := range preds {
-			if p.Bench == bench && p.Alloc == alloc && p.HasKind(kind) {
-				return true
-			}
-		}
-		return false
-	}
-
-	cfg := config.Default().WithDetector(config.ModeFull4B)
-	for _, m := range micro.All() {
-		m := m
-		t.Run(m.Name(), func(t *testing.T) {
-			h, ops := recordOps(t, m, cfg)
-			for _, seed := range []int64{1, 7, 1234} {
-				perturbed := replay.Perturb(ops, len(ops)/4+1, 8, seed)
-				sc, err := replay.NewScoRD(h.Config)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := replay.RunOps(h, perturbed, sc)
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				for _, r := range res.Races {
-					al, ok := res.Mem.Locate(mem.Addr(r.Addr))
-					if !ok {
-						t.Errorf("seed %d: race at %#x outside any allocation", seed, r.Addr)
-						continue
-					}
-					if !covered(m.Name(), al.Name, r.Kind) {
-						t.Errorf("seed %d: perturbed replay reports %s race on %s/%s, "+
-							"which no static prediction covers", seed, r.Kind, m.Name(), al.Name)
-					}
-				}
-			}
-		})
-	}
 }
 
 // TestPerturbTarget checks the targeted mode: the returned schedule is a
