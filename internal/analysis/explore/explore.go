@@ -77,15 +77,15 @@ type Options struct {
 // schedule exposed, with the schedule that first exposed it and a
 // machine-checked predictive witness derived on that schedule.
 type Finding struct {
-	Alloc     string        `json:"alloc"`
-	Kind      core.RaceKind `json:"kind"`
-	Record    core.Record   `json:"record"`
-	Schedule  int           `json:"schedule"`
-	Observed  bool          `json:"observed"`         // exposed by schedule 0 (the recorded class)
-	Seeded    bool          `json:"seeded,omitempty"` // exposed by a seed schedule, not the DFS
-	Witness   predict.Witness `json:"witness"`
-	WitnessOK bool            `json:"witnessOK"`
-	WitnessErr string         `json:"witnessErr,omitempty"`
+	Alloc      string          `json:"alloc"`
+	Kind       core.RaceKind   `json:"kind"`
+	Record     core.Record     `json:"record"`
+	Schedule   int             `json:"schedule"`
+	Observed   bool            `json:"observed"`         // exposed by schedule 0 (the recorded class)
+	Seeded     bool            `json:"seeded,omitempty"` // exposed by a seed schedule, not the DFS
+	Witness    predict.Witness `json:"witness"`
+	WitnessOK  bool            `json:"witnessOK"`
+	WitnessErr string          `json:"witnessErr,omitempty"`
 }
 
 func (f Finding) Tuple() predict.Tuple { return predict.Tuple{Alloc: f.Alloc, Kind: f.Kind} }
@@ -151,9 +151,9 @@ type tupleHit struct {
 }
 
 type schedOut struct {
-	perm   []int
-	hits   []tupleHit
-	err    error
+	perm []int
+	hits []tupleHit
+	err  error
 }
 
 // Explore enumerates the trace's schedule space under opt. The detector

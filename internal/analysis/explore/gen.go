@@ -189,13 +189,13 @@ func (s genStats) exhausted(opt genOptions) bool {
 
 // frame is one branch point on the DFS stack.
 type frame struct {
-	pathLen    int
-	sleepIn    []int32
-	cands      []int32 // enabled, not sleeping, ascending op index
-	tried      int
-	preemptIn  int
-	lastThr    int32 // thread of the op scheduled just before this state
-	lastThrSet bool
+	pathLen     int
+	sleepIn     []int32
+	cands       []int32 // enabled, not sleeping, ascending op index
+	tried       int
+	preemptIn   int
+	lastThr     int32 // thread of the op scheduled just before this state
+	lastThrSet  bool
 	lastHadCand bool // that thread has a candidate here (switch = preemption)
 }
 
@@ -236,17 +236,17 @@ type gen struct {
 func newGen(m *model, opt genOptions, emit func(int, []int32) (bool, error)) *gen {
 	n := len(m.ops)
 	g := &gen{
-		m:          m,
-		opt:        opt,
-		executed:   make([]bool, n),
-		runRem:     make([]int32, len(m.runs)),
-		next:       make([]int32, n+len(m.runs)),
-		prev:       make([]int32, n+len(m.runs)),
-		wordExec:   make([]int32, len(m.wordMulti)),
+		m:            m,
+		opt:          opt,
+		executed:     make([]bool, n),
+		runRem:       make([]int32, len(m.runs)),
+		next:         make([]int32, n+len(m.runs)),
+		prev:         make([]int32, n+len(m.runs)),
+		wordExec:     make([]int32, len(m.wordMulti)),
 		wordSyncExec: make([]int32, len(m.wordMulti)),
-		wordRem:    make([]int32, len(m.wordMulti)),
-		wordThrRem: make(map[int64]int32, len(m.wordThrTotal)),
-		emit:       emit,
+		wordRem:      make([]int32, len(m.wordMulti)),
+		wordThrRem:   make(map[int64]int32, len(m.wordThrTotal)),
+		emit:         emit,
 	}
 	for k, v := range m.wordThrTotal {
 		g.wordThrRem[k] = v

@@ -174,4 +174,3 @@ func TestRejectsHostileHeaders(t *testing.T) {
 		t.Errorf("negative arena accepted")
 	}
 }
-

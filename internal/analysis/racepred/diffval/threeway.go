@@ -191,9 +191,9 @@ func recordSuite() ([]*threeWayRun, error) {
 func crossValidate(preds []racepred.Prediction, runs []*threeWayRun) (*ThreeWayReport, error) {
 	rep := &ThreeWayReport{Runs: len(runs)}
 
-	observedSet := map[Tuple]bool{}   // bench-qualified dynamic tuples
-	predictedSet := map[Tuple]bool{}  // bench-qualified predicted tuples
-	missedSet := map[Tuple]bool{}     // observed, not predicted from own trace
+	observedSet := map[Tuple]bool{}  // bench-qualified dynamic tuples
+	predictedSet := map[Tuple]bool{} // bench-qualified predicted tuples
+	missedSet := map[Tuple]bool{}    // observed, not predicted from own trace
 	discharged := map[Tuple]predict.Confirmation{}
 	hasDischarge := map[Tuple]bool{}
 

@@ -83,7 +83,9 @@ type PatchStats struct {
 
 // errNoOp rejects an edit that would leave the trace unchanged: an
 // inapplicable candidate, not a verified fix.
-func errNoOp(e Edit) error { return fmt.Errorf("repair: %s: edit matches nothing in the trace", e.Kind) }
+func errNoOp(e Edit) error {
+	return fmt.Errorf("repair: %s: edit matches nothing in the trace", e.Kind)
+}
 
 // ApplyTrace applies the edit to a recorded op stream, returning the
 // patched copy (the input is never modified). An error means the edit is

@@ -4,8 +4,6 @@
 // same schedule.
 package engine
 
-import "container/heap"
-
 // Event is a callback scheduled to run at a particular cycle.
 type Event func()
 
@@ -15,32 +13,26 @@ type item struct {
 	fn    Event
 }
 
-type eventHeap []item
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].cycle != h[j].cycle {
-		return h[i].cycle < h[j].cycle
+func (a *item) before(b *item) bool {
+	if a.cycle != b.cycle {
+		return a.cycle < b.cycle
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(item)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	return a.seq < b.seq
 }
 
-// Engine is a deterministic event queue. It is not safe for concurrent use;
-// the whole simulation runs on one goroutine (warp coroutines only execute
-// while the engine waits on them).
+// Engine is a deterministic event queue. It is not safe for concurrent
+// use: one goroutine at a time may call it. The gpu package calls it from
+// whichever of its goroutines holds the launch's baton, and a channel
+// hand-off orders each holder after the last.
 type Engine struct {
 	now    uint64
 	seq    uint64
-	events eventHeap
+	events []item // binary min-heap on (cycle, seq)
+
+	// The drain in progress (Begin, Drain, Pause).
+	budget     Budget
+	dispatched uint64
+	paused     bool
 }
 
 // New returns an empty engine at cycle 0.
@@ -58,8 +50,20 @@ func (e *Engine) At(cycle uint64, fn Event) {
 	if cycle < e.now {
 		cycle = e.now
 	}
-	heap.Push(&e.events, item{cycle: cycle, seq: e.seq, fn: fn})
+	it := item{cycle: cycle, seq: e.seq, fn: fn}
 	e.seq++
+	h := append(e.events, it)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !it.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = it
+	e.events = h
 }
 
 // After schedules fn delay cycles from now.
@@ -73,10 +77,40 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	it := heap.Pop(&e.events).(item)
+	it := e.pop()
 	e.now = it.cycle
 	it.fn()
 	return true
+}
+
+// pop removes and returns the earliest event.
+func (e *Engine) pop() item {
+	h := e.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = item{} // drop the queue's reference to the callback
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(&h[c]) {
+				c = r
+			}
+			if !h[c].before(&last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	e.events = h
+	return top
 }
 
 // Pending reports the number of queued events.
@@ -96,6 +130,51 @@ type Budget struct {
 	MaxEvents uint64
 }
 
+// Stop says why Drain returned.
+type Stop uint8
+
+const (
+	// Idle: the queue is empty.
+	Idle Stop = iota
+	// Paused: an event handler called Pause. The drain is not over.
+	Paused
+	// OverBudget: a bound was hit with events still queued.
+	OverBudget
+)
+
+// Begin starts a drain of the queue within b; Drain runs it. The drain's
+// event count starts at zero and spans every Drain call until the next
+// Begin.
+func (e *Engine) Begin(b Budget) {
+	e.budget, e.dispatched, e.paused = b, 0, false
+}
+
+// Pause makes Drain return Paused once the running event handler returns.
+// A later Drain, from any goroutine, continues with the same budget and
+// event count.
+func (e *Engine) Pause() { e.paused = true }
+
+// Drain runs the drain begun by Begin until the queue empties, a bound is
+// hit or a handler pauses it. Both bounds are checked *before* dispatching:
+// an event past MaxCycle never executes.
+func (e *Engine) Drain() Stop {
+	for len(e.events) > 0 {
+		if e.budget.MaxCycle != 0 && e.events[0].cycle > e.budget.MaxCycle {
+			return OverBudget
+		}
+		if e.budget.MaxEvents != 0 && e.dispatched >= e.budget.MaxEvents {
+			return OverBudget
+		}
+		e.dispatched++
+		e.Step()
+		if e.paused {
+			e.paused = false
+			return Paused
+		}
+	}
+	return Idle
+}
+
 // defaultEventsPerCycle sizes RunUntilIdle's event backstop relative to
 // its cycle limit. No component of the simulated GPU schedules anywhere
 // near this many events per cycle, so the backstop only ever fires on
@@ -103,21 +182,15 @@ type Budget struct {
 const defaultEventsPerCycle = 4096
 
 // RunBudget drains the event queue within the given budget, returning the
-// final cycle. Both bounds are checked *before* dispatching: an event past
-// MaxCycle never executes, and ok=false reports that events remain queued.
+// final cycle; pauses are ignored. ok=false reports that a bound was hit
+// and events remain queued.
 func (e *Engine) RunBudget(b Budget) (cycle uint64, ok bool) {
-	var dispatched uint64
-	for len(e.events) > 0 {
-		if b.MaxCycle != 0 && e.events[0].cycle > b.MaxCycle {
-			return e.now, false
-		}
-		if b.MaxEvents != 0 && dispatched >= b.MaxEvents {
-			return e.now, false
-		}
-		e.Step()
-		dispatched++
+	e.Begin(b)
+	stop := e.Drain()
+	for stop == Paused {
+		stop = e.Drain()
 	}
-	return e.now, true
+	return e.now, stop == Idle
 }
 
 // RunUntilIdle drains the event queue, returning the final cycle. The

@@ -142,6 +142,30 @@ func TestRunBudgetMaxEvents(t *testing.T) {
 	}
 }
 
+// A paused drain resumes with the same budget: the event limit counts
+// every event dispatched since Begin, across pauses.
+func TestDrainPauseKeepsBudget(t *testing.T) {
+	e := New()
+	n := 0
+	var rec func()
+	rec = func() {
+		n++
+		e.After(0, rec)
+		e.Pause()
+	}
+	e.After(0, rec)
+	e.Begin(Budget{MaxEvents: 10})
+	pauses := 0
+	stop := e.Drain()
+	for stop == Paused {
+		pauses++
+		stop = e.Drain()
+	}
+	if stop != OverBudget || n != 10 || pauses != 10 {
+		t.Fatalf("stop=%v after %d events and %d pauses, want OverBudget after 10 and 10", stop, n, pauses)
+	}
+}
+
 // Property: the engine drains events in nondecreasing cycle order no
 // matter the insertion order.
 func TestMonotonicClockProperty(t *testing.T) {
@@ -163,5 +187,40 @@ func TestMonotonicClockProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAtStepAllocFree: scheduling and dispatching an event with a prebuilt
+// callback on a warmed queue allocates nothing.
+func TestAtStepAllocFree(t *testing.T) {
+	e := New()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.At(uint64(i), fn)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.After(7, fn)
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("At+Step allocates %.1f times per event, want 0", allocs)
+	}
+}
+
+// BenchmarkEngineEvent reports the cost of one event: scheduling it at a
+// mixed delay into a queue of a few hundred pending events, and
+// dispatching the earliest.
+func BenchmarkEngineEvent(b *testing.B) {
+	delays := [...]uint64{0, 1, 4, 0, 25, 2, 300, 0, 10, 1, 80, 6}
+	e := New()
+	fn := func() {}
+	for i := 0; i < 256; i++ {
+		e.After(delays[i%len(delays)]+uint64(i%7), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.After(delays[i%len(delays)], fn)
+		e.Step()
 	}
 }

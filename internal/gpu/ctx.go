@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"scord/internal/core"
+	"scord/internal/engine"
 	"scord/internal/mem"
 )
 
@@ -70,15 +71,23 @@ type Ctx struct {
 	lane     int    // ITS: lane attribution for scalar ops while diverged
 	diverged bool
 
-	resume chan struct{}
-	out    chan *request
-	req    request
+	req request
+
+	// Baton hand-off state (see yield). serveEvent and resumeEvent are the
+	// warp's event callbacks, built once so scheduling them allocates
+	// nothing.
+	wake        chan struct{}
+	serveEvent  engine.Event
+	resumeEvent engine.Event
+	spawner     *Ctx // who startWarp's hand-back goes to (nil: Launch's goroutine)
+	started     bool // the first request has been handed back to spawner
 
 	// Scratch buffers reused across vector ops to avoid per-op allocation.
 	// Scalar ops use the dedicated one-element arrays so that a scalar
 	// access never invalidates a LoadVec result the kernel still holds.
 	addrBuf []mem.Addr
 	outBuf  []uint32
+	zeros   []uint32 // AtomicReadVec's operands; never written
 
 	scAddr [1]mem.Addr
 	scVal  [1]uint32
@@ -111,17 +120,40 @@ func (c *Ctx) AtLane(l int) *Ctx {
 // Converge marks the warp reconverged.
 func (c *Ctx) Converge() { c.diverged = false; c.lane = 0 }
 
-// --- coroutine handshake -------------------------------------------------
+// --- baton hand-off -------------------------------------------------------
 
-// yield hands the prepared request to the engine and blocks until the
-// simulator resumes the warp.
+// yield hands the prepared request to the simulator and returns once the
+// simulator resumes the warp; an exiting warp's goroutine ends instead.
+//
+// The warp schedules its request's service, then runs the event loop
+// itself until an event resumes a warp. If that is this warp, it returns
+// with no goroutine switch; otherwise it passes the baton to the resumed
+// warp and blocks until the baton comes back. The first request instead
+// hands the baton back to the goroutine that started the warp: its
+// startWarp call sits inside Launch or an event handler, which must
+// finish before the next event runs.
 func (c *Ctx) yield() {
-	c.out <- &c.req
-	<-c.resume
+	d := c.dev
+	d.eng.After(0, c.serveEvent)
+	var next *Ctx
+	if c.started {
+		next = d.drain()
+		if next == c {
+			return
+		}
+	} else {
+		c.started = true
+		next = c.spawner
+	}
+	exiting := c.req.kind == reqExit
+	d.pass(next)
+	if !exiting {
+		d.wait(c)
+	}
 }
 
-// startWarp spawns the warp coroutine and registers its first pending
-// request with the engine.
+// startWarp spawns the warp's goroutine and runs it until its first
+// request, which it schedules before handing the baton back.
 func (d *Device) startWarp(bs *blockState, warp int) {
 	c := &Ctx{
 		dev:      d,
@@ -131,30 +163,36 @@ func (d *Device) startWarp(bs *blockState, warp int) {
 		WarpSize: d.cfg.WarpSize,
 		Blocks:   d.gridBlocks,
 		Warps:    d.warpsPerBlock,
-		resume:   make(chan struct{}),
-		out:      make(chan *request),
+		wake:     make(chan struct{}),
+		spawner:  d.holder,
+	}
+	c.serveEvent = func() { d.service(c) }
+	c.resumeEvent = func() {
+		d.active = c
+		d.eng.Pause()
 	}
 	d.liveWarps++
-	go func() {
-		d.kernel(c)
-		c.req = request{kind: reqExit}
-		c.out <- &c.req
+	active := d.active
+	d.holder, d.active = c, c
+	go c.run()
+	d.wait(c.spawner)
+	d.active = active
+}
+
+// run is the body of the warp's goroutine. A panic in the kernel, or in
+// simulator code the warp runs while it holds the baton, goes to Launch's
+// goroutine, which re-raises it.
+func (c *Ctx) run() {
+	d := c.dev
+	defer func() {
+		if r := recover(); r != nil {
+			d.failure = d.blame(r)
+			d.pass(nil)
+		}
 	}()
-	// The goroutine runs until its first simulator call; collect it.
-	d.collect(c)
-}
-
-// collect receives the warp's next request and schedules its service at
-// the current cycle.
-func (d *Device) collect(c *Ctx) {
-	r := <-c.out
-	d.eng.After(0, func() { d.service(c, r) })
-}
-
-// resumeWarp unblocks the warp and collects its next request.
-func (d *Device) resumeWarp(c *Ctx) {
-	c.resume <- struct{}{}
-	d.collect(c)
+	d.kernel(c)
+	c.req = request{kind: reqExit}
+	c.yield()
 }
 
 // --- memory operations ----------------------------------------------------
@@ -279,10 +317,10 @@ func (c *Ctx) AtomicReadVec(addrs []mem.Addr, s Scope) []uint32 {
 	for i := range c.outBuf {
 		c.outBuf[i] = 0
 	}
-	vals := make([]uint32, len(addrs))
+	c.zeros = grow(c.zeros, len(addrs))
 	c.issueMem(memOp{
 		kind: core.KindAtomic, atomicOp: core.AtomicOther, scope: s, volatile: true,
-		addrs: addrs, vals: vals, out: c.outBuf,
+		addrs: addrs, vals: c.zeros, out: c.outBuf,
 	})
 	return c.outBuf
 }

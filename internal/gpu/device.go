@@ -5,13 +5,15 @@
 // ScoRD race detector on the L2 side of the interconnect (Figure 6 of the
 // paper).
 //
-// Kernels are Go functions executed at warp granularity by coroutines; the
-// single-threaded event engine resumes exactly one warp at a time, so every
-// simulation is deterministic.
+// Kernels are Go functions executed at warp granularity, each warp on its
+// own goroutine. Only one goroutine of a launch runs at a time: the one
+// holding the baton, which runs the event loop and passes the baton to
+// the warp an event resumes. So every simulation is deterministic.
 package gpu
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync/atomic"
 
 	"scord/internal/cache"
@@ -71,12 +73,27 @@ type Device struct {
 	ph PhaseAccounts
 
 	// State of the kernel currently executing.
+	name          string
 	kernel        Kernel
 	gridBlocks    int
 	warpsPerBlock int
 	pending       []int // block ids awaiting an SM slot
 	blocks        map[int]*blockState
 	liveWarps     int
+
+	// Baton hand-off state. holder is the goroutine running the event
+	// loop (a warp's, or Launch's when nil); active is the warp whose
+	// kernel or request service runs, which a panic is blamed on and
+	// which a paused drain resumes.
+	holder     *Ctx
+	active     *Ctx
+	launchWake chan struct{}
+	failure    *WarpPanic // a warp goroutine's panic, for Launch to re-raise
+
+	// Scratch reused by serviceMem, which is never re-entered.
+	txBuf     []transaction
+	laneBuf   []int
+	metaLines []mem.Addr
 
 	kernelLog []KernelRun
 }
@@ -143,6 +160,8 @@ func New(cfg config.Config) (*Device, error) {
 		l2Ports: make([]noc.Port, cfg.L2Banks),
 		dram:    dram.New(cfg),
 		blocks:  make(map[int]*blockState),
+
+		launchWake: make(chan struct{}),
 	}
 	d.net = noc.New(cfg.NOCLat, cfg.NOCBytesPerCy, cfg.NumSMs, cfg.L2Banks, &d.st)
 	for i := 0; i < cfg.NumSMs; i++ {
@@ -291,7 +310,9 @@ func (d *Device) Cycles() uint64 { return d.eng.Now() }
 
 // Launch runs a kernel to completion: blocks*threadsPerBlock threads,
 // executed as warps of Config.WarpSize. It returns an error on invalid
-// geometry, barrier deadlock, or a runaway simulation.
+// geometry, barrier deadlock, or a runaway simulation. A panic in the
+// kernel, or in the simulator while it serves a warp, is re-raised on the
+// caller's goroutine as a *WarpPanic; the device is unusable after it.
 func (d *Device) Launch(name string, blocks, threadsPerBlock int, k Kernel) error {
 	switch {
 	case blocks <= 0:
@@ -303,7 +324,7 @@ func (d *Device) Launch(name string, blocks, threadsPerBlock int, k Kernel) erro
 		return fmt.Errorf("gpu: launch %q with %d threads/block exceeds max %d",
 			name, threadsPerBlock, d.cfg.MaxThreadsBlock)
 	}
-	d.kernel = k
+	d.name, d.kernel = name, k
 	d.gridBlocks = blocks
 	d.warpsPerBlock = threadsPerBlock / d.cfg.WarpSize
 	d.pending = d.pending[:0]
@@ -336,7 +357,6 @@ func (d *Device) Launch(name string, blocks, threadsPerBlock int, k Kernel) erro
 	for b := 0; b < blocks; b++ {
 		d.pending = append(d.pending, b)
 	}
-	d.fillSMs()
 
 	// Drive the event loop to completion. Both limits are generous: any
 	// realistic kernel in the suite finishes well under them. The event
@@ -346,8 +366,8 @@ func (d *Device) Launch(name string, blocks, threadsPerBlock int, k Kernel) erro
 		cycleLimit = 4_000_000_000
 		eventLimit = 2_000_000_000
 	)
-	start := d.eng.Now()
-	if _, ok := d.eng.RunBudget(engine.Budget{MaxCycle: start + cycleLimit, MaxEvents: eventLimit}); !ok {
+	d.eng.Begin(engine.Budget{MaxCycle: d.eng.Now() + cycleLimit, MaxEvents: eventLimit})
+	if !d.simulate() {
 		return fmt.Errorf("gpu: kernel %q exceeded %d cycles or %d events (livelock?)", name, uint64(cycleLimit), uint64(eventLimit))
 	}
 	if d.liveWarps != 0 || len(d.pending) != 0 {
@@ -383,6 +403,83 @@ func (d *Device) Launch(name string, blocks, threadsPerBlock int, k Kernel) erro
 	}
 	d.kernelLog = append(d.kernelLog, run)
 	return nil
+}
+
+// simulate dispatches the launch's first blocks and drains its event
+// queue, passing the baton between goroutines until the drain is over. It
+// reports false when the launch's budget stopped the drain, which leaves
+// events queued.
+func (d *Device) simulate() bool {
+	d.holder, d.active = nil, nil
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(*WarpPanic); !ok && d.active != nil {
+				r = d.blame(r)
+			}
+			panic(r)
+		}
+	}()
+	d.fillSMs()
+	if next := d.drain(); next != nil {
+		d.pass(next)
+		d.wait(nil)
+	}
+	return d.eng.Pending() == 0
+}
+
+// drain runs the launch's event loop on the baton holder's goroutine until
+// an event resumes a warp, and returns that warp. It returns nil once the
+// drain is over, so the baton goes back to Launch's goroutine.
+func (d *Device) drain() *Ctx {
+	if d.eng.Drain() == engine.Paused {
+		return d.active
+	}
+	return nil
+}
+
+// pass hands the baton to warp c's goroutine, or to Launch's when c is nil.
+// The caller must not touch simulation state until the baton comes back.
+func (d *Device) pass(c *Ctx) {
+	d.holder = c
+	if c == nil {
+		d.launchWake <- struct{}{}
+	} else {
+		c.wake <- struct{}{}
+	}
+}
+
+// wait blocks until the baton comes back to warp c's goroutine, or to
+// Launch's when c is nil; there it re-raises a warp goroutine's panic.
+func (d *Device) wait(c *Ctx) {
+	if c != nil {
+		<-c.wake
+		return
+	}
+	<-d.launchWake
+	if f := d.failure; f != nil {
+		d.failure = nil
+		panic(f)
+	}
+}
+
+// WarpPanic is the value Launch panics with when kernel code, or simulator
+// code serving a warp's request, panics. It names the warp and keeps the
+// original value and the stack of the goroutine that panicked.
+type WarpPanic struct {
+	Kernel      string
+	Block, Warp int
+	Value       any    // the original panic value
+	Stack       []byte // from runtime/debug.Stack at the recover
+}
+
+func (p *WarpPanic) Error() string {
+	return fmt.Sprintf("gpu: kernel %q block %d warp %d: %v\n\n%s", p.Kernel, p.Block, p.Warp, p.Value, p.Stack)
+}
+
+// blame wraps panic value r, recovered on the panicking goroutine, as a
+// panic of the active warp.
+func (d *Device) blame(r any) *WarpPanic {
+	return &WarpPanic{Kernel: d.name, Block: d.active.Block, Warp: d.active.Warp, Value: r, Stack: debug.Stack()}
 }
 
 // KernelLog returns one entry per completed Launch with per-launch

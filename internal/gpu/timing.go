@@ -2,7 +2,7 @@ package gpu
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"scord/internal/cache"
 	"scord/internal/core"
@@ -19,8 +19,10 @@ const (
 	pktHeader      = 8 // bytes of routing/command header per packet
 )
 
-// service handles one warp request at the current cycle.
-func (d *Device) service(c *Ctx, r *request) {
+// service handles warp c's request at the current cycle.
+func (d *Device) service(c *Ctx) {
+	d.active = c
+	r := &c.req
 	now := d.eng.Now()
 	// Observability hooks: both read the simulated clock only and are
 	// detached (nil) by default — the hot path pays two predictable
@@ -39,7 +41,7 @@ func (d *Device) service(c *Ctx, r *request) {
 		d.st.Instructions++
 		d.sms[c.block.sm].ctr.Instructions++
 		d.ph.Issue += r.cycles
-		d.eng.At(now+r.cycles, func() { d.resumeWarp(c) })
+		d.eng.At(now+r.cycles, c.resumeEvent)
 
 	case reqFence:
 		d.st.Instructions++
@@ -71,7 +73,7 @@ func (d *Device) service(c *Ctx, r *request) {
 			d.sink.Fence(c.Block, c.Warp, r.scope, now, false)
 		}
 		d.ph.Fence += lat
-		d.eng.At(now+lat, func() { d.resumeWarp(c) })
+		d.eng.At(now+lat, c.resumeEvent)
 
 	case reqBarrier:
 		d.st.Instructions++
@@ -88,8 +90,7 @@ func (d *Device) service(c *Ctx, r *request) {
 		}
 
 	case reqMem:
-		finish := d.serviceMem(c, &r.mem)
-		d.eng.At(finish, func() { d.resumeWarp(c) })
+		d.eng.At(d.serviceMem(c, &r.mem), c.resumeEvent)
 	}
 }
 
@@ -112,8 +113,7 @@ func (d *Device) warpExit(c *Ctx) {
 func (d *Device) releaseBarrier(bs *blockState) {
 	bs.barrierID++
 	warps := bs.waiting
-	bs.waiting = nil
-	sort.Slice(warps, func(i, j int) bool { return warps[i].Warp < warps[j].Warp })
+	slices.SortFunc(warps, func(a, b *Ctx) int { return a.Warp - b.Warp })
 	if d.det != nil {
 		for _, w := range warps {
 			d.det.OnFence(w.Block, w.Warp, ScopeBlock)
@@ -139,9 +139,9 @@ func (d *Device) releaseBarrier(bs *blockState) {
 	at := d.eng.Now() + barrierLat
 	d.ph.Barrier += uint64(barrierLat) * uint64(len(warps))
 	for _, w := range warps {
-		w := w
-		d.eng.At(at, func() { d.resumeWarp(w) })
+		d.eng.At(at, w.resumeEvent)
 	}
+	bs.waiting = warps[:0]
 }
 
 // l2Access charges one L2 lookup (and DRAM on a miss) for the line holding
@@ -204,23 +204,41 @@ type transaction struct {
 	idxs []int // indices into the op's lane arrays
 }
 
-func coalesce(addrs []mem.Addr, lineSize int) []transaction {
-	var txs []transaction
-	mask := ^mem.Addr(lineSize - 1)
-	for i, a := range addrs {
+// coalesce groups the lanes of addrs into one transaction per cache line,
+// in order of each line's first lane, with every transaction's lanes in
+// lane order. The result lives in the device's scratch slices.
+func (d *Device) coalesce(addrs []mem.Addr) []transaction {
+	mask := ^mem.Addr(d.cfg.LineSize - 1)
+	txs := d.txBuf[:0]
+	for _, a := range addrs {
 		line := a & mask
 		found := false
 		for t := range txs {
 			if txs[t].line == line {
-				txs[t].idxs = append(txs[t].idxs, i)
 				found = true
 				break
 			}
 		}
 		if !found {
-			txs = append(txs, transaction{line: line, idxs: []int{i}})
+			txs = append(txs, transaction{line: line})
 		}
 	}
+	// Every lane lands in exactly one transaction, so the appends below
+	// stay within laneBuf's capacity and never move the idxs slices.
+	if cap(d.laneBuf) < len(addrs) {
+		d.laneBuf = make([]int, 0, len(addrs))
+	}
+	idxs := d.laneBuf[:0]
+	for t := range txs {
+		start := len(idxs)
+		for i, a := range addrs {
+			if a&mask == txs[t].line {
+				idxs = append(idxs, i)
+			}
+		}
+		txs[t].idxs = idxs[start:]
+	}
+	d.txBuf = txs
 	return txs
 }
 
@@ -239,7 +257,7 @@ func (d *Device) serviceMem(c *Ctx, op *memOp) uint64 {
 		d.st.Atomics++
 	}
 
-	txs := coalesce(op.addrs, d.cfg.LineSize)
+	txs := d.coalesce(op.addrs)
 
 	detOn := d.det != nil
 	extra := 0
@@ -289,7 +307,7 @@ func (d *Device) serviceMem(c *Ctx, op *memOp) uint64 {
 		}
 
 		// Functional execution and detector checks, in lane order.
-		var metaLines []mem.Addr
+		metaLines := d.metaLines[:0]
 		for _, i := range tx.idxs {
 			a := op.addrs[i]
 			if detOn && op.atomicOp == core.AtomicRelease {
@@ -339,6 +357,7 @@ func (d *Device) serviceMem(c *Ctx, op *memOp) uint64 {
 				ch.OnAtomicOp(c.Block, c.Warp, op.atomicOp, uint64(a), op.scope)
 			}
 		}
+		d.metaLines = metaLines
 
 		// Timing.
 		words := len(tx.idxs)

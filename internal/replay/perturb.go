@@ -40,4 +40,3 @@ func PerturbTarget(ops []tracefile.Op, i, j int) ([]tracefile.Op, int, int, bool
 		}
 	}
 }
-

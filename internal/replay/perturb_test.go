@@ -267,8 +267,8 @@ func TestPerturbTargetBarrierWalk(t *testing.T) {
 			Access: core.Access{Warp: warp, Addr: addr}}
 	}
 	ops := []tracefile.Op{
-		acc(0, 0),  // i: must advance past the warp-1 filler, then stop
-		acc(1, 8),  // filler
+		acc(0, 0), // i: must advance past the warp-1 filler, then stop
+		acc(1, 8), // filler
 		{Kind: tracefile.OpBarrier},
 		acc(0, 16), // filler
 		acc(1, 24), // j: must retreat past the warp-0 filler, then stop

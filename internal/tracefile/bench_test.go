@@ -37,7 +37,7 @@ func syntheticTrace(tb testing.TB, blocks int) []byte {
 			Lane:  i % 32,
 		}, core.AtomicOther, 4)
 	}
-	w.KernelEnd("k", uint64(blocks * perBlock))
+	w.KernelEnd("k", uint64(blocks*perBlock))
 	if err := w.Close(); err != nil {
 		tb.Fatal(err)
 	}
