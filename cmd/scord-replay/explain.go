@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"strings"
 
@@ -12,6 +13,7 @@ import (
 	"scord/internal/obs"
 	"scord/internal/obs/tracing"
 	"scord/internal/replay"
+	"scord/internal/tracefile"
 )
 
 // runExplain replays a recorded trace through the ScoRD detector with
@@ -19,8 +21,9 @@ import (
 // evidence the detector decided on: both access sites, scope and
 // sharing bits, fence/bloom/barrier-phase state at each side, and the
 // Table III/IV row that fired. Optionally it also writes the trace's
-// cycle-domain span tree (-span-json) — byte-identical to the span JSON
-// a live run of the same configuration emits.
+// cycle-domain span tree (-span-json) and its Perfetto rendering with
+// race marks (-perfetto), each byte-identical to the file `scord`
+// writes for a live run of the same configuration.
 func runExplain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("scord-replay explain", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -46,19 +49,23 @@ func runExplain(args []string, stdout, stderr io.Writer) int {
 	h := r.Header()
 	cfg := h.Config.WithDetector(dm)
 
-	ops, err := replay.ReadAll(r)
-	if err != nil {
-		fmt.Fprintln(stderr, "scord-replay explain:", err)
-		return 1
-	}
-
 	t, err := replay.NewScoRD(cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, "scord-replay explain:", err)
 		return 2
 	}
 	t.EnableProvenance()
-	res, err := replay.RunOps(h, ops, t)
+	// The verdicts need one streaming pass; only the span exports need
+	// the whole decoded op slice.
+	var ops []tracefile.Op
+	var res *replay.Result
+	if *spanJSON != "" || *perfetto != "" {
+		if ops, err = replay.ReadAll(r); err == nil {
+			res, err = replay.RunOps(h, ops, t)
+		}
+	} else {
+		res, err = replay.Run(r, t)
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "scord-replay explain:", err)
 		return 1
@@ -72,41 +79,24 @@ func runExplain(args []string, stdout, stderr io.Writer) int {
 	// attached; the Perfetto export then decorates the same tree with
 	// race instants and flow arrows.
 	if *spanJSON != "" || *perfetto != "" {
+		logger := slog.New(slog.NewTextHandler(stderr, nil))
 		b := tracing.FromOps(h, ops)
 		if *spanJSON != "" {
 			if code := writeSpanFile(*spanJSON, b.WriteJSON, stderr); code != 0 {
 				return code
 			}
+			logger.Info("wrote span trace", "path", *spanJSON, "trace", b)
 		}
 		if *perfetto != "" {
-			tracing.AttachRaces(b, raceMarks(res.Races, t))
+			tracing.AttachRaces(b, tracing.RaceMarks(res.Races, t.EvidenceFor))
 			write := func(w io.Writer) error { return obs.WritePerfettoSpans(w, b.Snapshot()) }
 			if code := writeSpanFile(*perfetto, write, stderr); code != 0 {
 				return code
 			}
+			logger.Info("wrote perfetto trace", "path", *perfetto, "trace", b)
 		}
 	}
 	return 0
-}
-
-// raceMarks converts the replay's race verdicts (with their captured
-// evidence) into span-tree race marks for the Perfetto export.
-func raceMarks(races []core.Record, t *replay.ScoRD) []tracing.RaceMark {
-	marks := make([]tracing.RaceMark, 0, len(races))
-	for _, rec := range races {
-		ev, ok := t.EvidenceFor(rec)
-		if !ok {
-			continue
-		}
-		marks = append(marks, tracing.RaceMark{
-			Kind:      rec.Kind.String(),
-			Addr:      rec.Addr,
-			Site:      rec.Site,
-			PrevBlock: ev.Prev.Block, PrevWarp: ev.Prev.Warp, PrevCycle: ev.Prev.Cycle,
-			CurBlock: ev.Cur.Block, CurWarp: ev.Cur.Warp, CurCycle: ev.Cur.Cycle,
-		})
-	}
-	return marks
 }
 
 // writeSpanFile creates path, runs write into it, and removes the file

@@ -27,15 +27,9 @@ import (
 	"scord/internal/scor"
 	"scord/internal/scor/micro"
 	"scord/internal/stats"
-	"scord/internal/trace"
 	"scord/internal/tracefile"
 	"scord/internal/version"
 )
-
-// perfettoTraceCap is the tracer ring size used when -perfetto is given
-// without an explicit -trace N: large enough to hold every event of the
-// bundled benchmarks at default scale, so spans are not truncated.
-const perfettoTraceCap = 1 << 16
 
 // jsonReport is the machine-readable output of -json.
 type jsonReport struct {
@@ -97,10 +91,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list      = fs.Bool("list", false, "list benchmarks and their injections")
 		seed      = fs.Int64("seed", 1, "simulation seed")
 		jsonOut   = fs.Bool("json", false, "emit a machine-readable JSON report")
-		traceN    = fs.Int("trace", 0, "dump the last N execution events after the run")
 		scale     = fs.Int("scale", 1, "multiply the benchmark's input size (device memory scales too)")
 		explain   = fs.Bool("explain", false, "print a diagnosis and fix suggestion per race")
-		perfetto  = fs.String("perfetto", "", "write a Chrome/Perfetto trace_event JSON file of the run (implies event tracing)")
+		perfetto  = fs.String("perfetto", "", "write the span trace with race flow arrows as Chrome/Perfetto trace_event JSON to this file")
 		phases    = fs.Bool("phases", false, "print the cycle-attribution breakdown by simulator phase")
 		spanJSON  = fs.String("span-json", "", "write the cycle-domain span trace (scord-spans/1 JSON) to this file")
 		showVer   = fs.Bool("version", false, "print the build version and exit")
@@ -168,23 +161,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		logger.Error("building device", "err", err)
 		return 1
 	}
-	var tr *trace.Tracer
-	if *traceN > 0 || *perfetto != "" {
-		n := *traceN
-		if n <= 0 {
-			n = perfettoTraceCap
-		}
-		tr = trace.New(n)
-		dev.AttachTracer(tr)
-	}
 	var spans *tracing.Builder
-	if *spanJSON != "" {
-		// The identity parts mirror tracing.FromOps, so the span JSON of
-		// a live run is byte-identical to the one rebuilt from a recorded
-		// trace of the same configuration.
-		spans = tracing.NewBuilder(bench.Name(),
-			fmt.Sprintf("%016x", tracefile.HashConfig(cfg)), fmt.Sprintf("%d", cfg.Seed))
+	if *spanJSON != "" || *perfetto != "" {
+		// The header is the one a recording of this run carries, so the
+		// span tree is byte-identical to the one scord-replay rebuilds
+		// from that recording.
+		spans = tracing.NewBuilder(tracefile.NewHeader(bench.Name(), active, cfg))
 		dev.SetOpSink(spans)
+	}
+	det := dev.Detector()
+	if *perfetto != "" && det != nil {
+		// Race instants need both access sides of each verdict; capturing
+		// them never changes what the detector reports.
+		det.EnableProvenance()
 	}
 	if err := bench.Run(dev, active); err != nil {
 		logger.Error("benchmark failed", "benchmark", bench.Name(), "err", err)
@@ -202,55 +191,47 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "\ncycle attribution by phase:\n")
 			dev.Phases().WriteTable(stdout, dev.Cycles())
 		}
-		if *traceN > 0 {
-			fmt.Fprintf(stdout, "\nlast %d execution events:\n", tr.Len())
-			if _, err := tr.WriteTo(stdout); err != nil {
-				logger.Error("dumping trace", "err", err)
-				return 1
-			}
-		}
 	}
 
 	if spans != nil {
-		spans.Finish(dev.Cycles())
-		f, err := os.Create(*spanJSON)
-		if err != nil {
-			logger.Error("creating span trace", "err", err)
-			return 1
+		tr := spans.Finish(dev.Cycles())
+		// The span JSON is written from the clean op-derived tree, as a
+		// replay writes it; the Perfetto export then adds the race marks.
+		if *spanJSON != "" {
+			if err := writeTrace(*spanJSON, tr.WriteJSON); err != nil {
+				logger.Error("writing span trace", "err", err)
+				return 1
+			}
+			logger.Info("wrote span trace", "path", *spanJSON, "trace", tr)
 		}
-		if err := spans.Tracer().WriteJSON(f); err != nil {
-			f.Close()
-			os.Remove(*spanJSON)
-			logger.Error("writing span trace", "err", err)
-			return 1
+		if *perfetto != "" {
+			if det != nil {
+				tracing.AttachRaces(tr, tracing.RaceMarks(det.Records(), det.EvidenceFor))
+			}
+			write := func(w io.Writer) error { return obs.WritePerfettoSpans(w, tr.Snapshot()) }
+			if err := writeTrace(*perfetto, write); err != nil {
+				logger.Error("writing perfetto trace", "err", err)
+				return 1
+			}
+			logger.Info("wrote perfetto trace", "path", *perfetto, "trace", tr)
 		}
-		if err := f.Close(); err != nil {
-			logger.Error("writing span trace", "err", err)
-			return 1
-		}
-		logger.Info("wrote span trace", "path", *spanJSON,
-			"trace_id", spans.Tracer().TraceID().String(), "spans", spans.Tracer().Len())
-	}
-
-	if *perfetto != "" {
-		f, err := os.Create(*perfetto)
-		if err != nil {
-			logger.Error("creating perfetto trace", "err", err)
-			return 1
-		}
-		if err := obs.WritePerfetto(f, tr.Events()); err != nil {
-			f.Close()
-			os.Remove(*perfetto)
-			logger.Error("writing perfetto trace", "err", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			logger.Error("writing perfetto trace", "err", err)
-			return 1
-		}
-		logger.Info("wrote perfetto trace", "path", *perfetto, "events", tr.Len())
 	}
 	return 0
+}
+
+// writeTrace creates path and runs write into it, removing the file on
+// failure so a partial export never survives.
+func writeTrace(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		os.Remove(path)
+		return err
+	}
+	return f.Close()
 }
 
 func renderText(w io.Writer, dev *gpu.Device, bench scor.Benchmark, dm config.DetectorMode, active []string, explain bool) {

@@ -15,7 +15,8 @@
 //     and a goroutine racing the handler breaks it.
 //
 // The driver applies detlint to the deterministic core (internal/engine,
-// internal/harness, internal/stats, internal/core); the analyzer itself
+// internal/gpu, internal/harness, internal/stats, internal/core and the
+// packages deterministicCore lists); the analyzer itself
 // checks whatever package it is handed, which is how its testdata
 // packages are exercised.
 package detlint
@@ -38,11 +39,13 @@ var Analyzer = &framework.Analyzer{
 
 // deterministicCore lists the packages whose behavior must be a pure
 // function of (config, seed). The contract covers the whole timing
-// model: the engine and harness, the stats pipeline, the race-detection
+// model: the engine and harness, the device (launch, block dispatch,
+// barriers and the warp baton), the stats pipeline, the race-detection
 // core, and every memory-system component whose latencies feed
 // simulated cycles.
 var deterministicCore = map[string]bool{
 	"scord/internal/engine":    true,
+	"scord/internal/gpu":       true,
 	"scord/internal/harness":   true,
 	"scord/internal/stats":     true,
 	"scord/internal/core":      true,

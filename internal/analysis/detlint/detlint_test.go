@@ -18,14 +18,14 @@ func TestDetlint(t *testing.T) {
 // detlint to.
 func TestMatch(t *testing.T) {
 	for _, pkg := range []string{
-		"scord/internal/engine", "scord/internal/harness",
+		"scord/internal/engine", "scord/internal/gpu", "scord/internal/harness",
 		"scord/internal/stats", "scord/internal/core",
 	} {
 		if !detlint.Analyzer.Match(pkg) {
 			t.Errorf("Match(%q) = false, want true", pkg)
 		}
 	}
-	for _, pkg := range []string{"scord/internal/gpu", "scord/internal/scor", "scord", "scord/cmd/scord-eval"} {
+	for _, pkg := range []string{"scord/internal/scor", "scord", "scord/cmd/scord-eval"} {
 		if detlint.Analyzer.Match(pkg) {
 			t.Errorf("Match(%q) = true, want false", pkg)
 		}

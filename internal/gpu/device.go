@@ -24,7 +24,6 @@ import (
 	"scord/internal/mem"
 	"scord/internal/noc"
 	"scord/internal/stats"
-	"scord/internal/trace"
 )
 
 // Kernel is a GPU kernel body, executed once per warp.
@@ -51,9 +50,6 @@ type Device struct {
 	// checkers are purely functional observers of the access stream (the
 	// Table VIII comparison models); they never affect timing.
 	checkers []core.Checker
-
-	// tracer, when attached, records per-warp execution events.
-	tracer *trace.Tracer
 
 	// probe, when attached, observes the simulated clock at every request
 	// service point (the cycle-domain sampling hook of internal/obs).
@@ -197,7 +193,7 @@ func (d *Device) Alloc(name string, n int) mem.Addr {
 // is presented with, in presentation order. The stream is a pure function
 // of (config, seed, kernel), so recording it once (internal/tracefile)
 // lets internal/replay re-run any detector model without the timing
-// simulator. Like the tracer, probe and checkers, a sink is purely
+// simulator. Like the probe and checkers, a sink is purely
 // observational: it must not mutate simulation state, and a detached
 // (nil) sink costs one predictable branch per op.
 type OpSink interface {
@@ -232,16 +228,11 @@ func (d *Device) Detector() *core.Detector { return d.det }
 // comparator) that observes the access stream without timing impact.
 func (d *Device) AddChecker(c core.Checker) { d.checkers = append(d.checkers, c) }
 
-// AttachTracer records execution events (memory transactions, fences,
-// barriers, kernel boundaries, races) into tr until detached with nil.
-// Tracing is purely observational.
-func (d *Device) AttachTracer(tr *trace.Tracer) { d.tracer = tr }
-
 // Probe observes the simulated clock from inside the simulation loop. It
 // is invoked at every warp request service point and once at the end of
 // each launch, always with the current simulated cycle — wall-clock time
 // never appears. A probe must not mutate simulation state; like the
-// tracer and checkers it is purely observational, and a detached (nil)
+// sink and checkers it is purely observational, and a detached (nil)
 // probe costs a single predictable branch.
 type Probe interface {
 	Tick(now uint64)
@@ -344,9 +335,6 @@ func (d *Device) Launch(name string, blocks, threadsPerBlock int, k Kernel) erro
 	for _, ch := range d.checkers {
 		ch.OnKernelStart()
 	}
-	if d.tracer != nil {
-		d.tracer.Record(trace.Event{Cycle: d.eng.Now(), Kind: trace.EvKernel, Info: name})
-	}
 	if d.sink != nil {
 		d.sink.KernelStart(name, blocks, threadsPerBlock, d.eng.Now())
 	}
@@ -379,9 +367,6 @@ func (d *Device) Launch(name string, blocks, threadsPerBlock int, k Kernel) erro
 		sm.l1.FlushAll(d.mem)
 	}
 	d.st.Cycles = d.eng.Now()
-	if d.tracer != nil {
-		d.tracer.Record(trace.Event{Cycle: d.eng.Now(), Kind: trace.EvKernelEnd, Info: name})
-	}
 	if d.sink != nil {
 		d.sink.KernelEnd(name, d.eng.Now())
 	}

@@ -246,3 +246,31 @@ func TestBlockFenceInsufficientAcrossBlocks(t *testing.T) {
 		t.Fatalf("missing-device-fence race not detected; got %v", kinds)
 	}
 }
+
+// TestKernelLogDeltas: per-launch statistics are deltas, not cumulative.
+func TestKernelLogDeltas(t *testing.T) {
+	d := newDev(t, config.Default())
+	x := d.Alloc("x", 64)
+	for i := 0; i < 2; i++ {
+		if err := d.Launch("k", 1, 32, func(c *Ctx) {
+			c.LoadVec(c.Seq(x, 32), false)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log := d.KernelLog()
+	if len(log) != 2 {
+		t.Fatalf("kernel log has %d entries", len(log))
+	}
+	for i, k := range log {
+		if k.Name != "k" || k.Blocks != 1 || k.Threads != 32 {
+			t.Fatalf("entry %d geometry: %+v", i, k)
+		}
+		if k.Stats.MemOps != 1 {
+			t.Fatalf("entry %d memOps = %d, want 1 (delta, not cumulative)", i, k.Stats.MemOps)
+		}
+		if k.Cycles == 0 {
+			t.Fatalf("entry %d has zero cycles", i)
+		}
+	}
+}

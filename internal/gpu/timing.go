@@ -1,13 +1,11 @@
 package gpu
 
 import (
-	"fmt"
 	"slices"
 
 	"scord/internal/cache"
 	"scord/internal/core"
 	"scord/internal/mem"
-	"scord/internal/trace"
 )
 
 // Fixed micro-architectural latencies not in config (minor constants).
@@ -65,10 +63,6 @@ func (d *Device) service(c *Ctx) {
 		for _, ch := range d.checkers {
 			ch.OnFence(c.Block, c.Warp, r.scope)
 		}
-		if d.tracer != nil {
-			d.tracer.Record(trace.Event{Cycle: now, Kind: trace.EvFence,
-				Block: c.Block, Warp: c.Warp, Info: r.scope.String()})
-		}
 		if d.sink != nil {
 			d.sink.Fence(c.Block, c.Warp, r.scope, now, false)
 		}
@@ -80,10 +74,6 @@ func (d *Device) service(c *Ctx) {
 		d.st.Barriers++
 		d.sms[c.block.sm].ctr.Instructions++
 		bs := c.block
-		if d.tracer != nil {
-			d.tracer.Record(trace.Event{Cycle: now, Kind: trace.EvBarrierWait,
-				Block: c.Block, Warp: c.Warp})
-		}
 		bs.waiting = append(bs.waiting, c)
 		if len(bs.waiting) == bs.live {
 			d.releaseBarrier(bs)
@@ -123,10 +113,6 @@ func (d *Device) releaseBarrier(bs *blockState) {
 		for _, w := range warps {
 			ch.OnFence(w.Block, w.Warp, ScopeBlock)
 		}
-	}
-	if d.tracer != nil {
-		d.tracer.Record(trace.Event{Cycle: d.eng.Now(), Kind: trace.EvBarrier,
-			Block: bs.id, Info: fmt.Sprintf("id=%d warps=%d", bs.barrierID, len(warps))})
 	}
 	if d.sink != nil {
 		// The marker precedes the per-warp implicit fences, mirroring the
@@ -279,18 +265,6 @@ func (d *Device) serviceMem(c *Ctx, op *memOp) uint64 {
 		issue := max64(now, sm.lsuFree)
 		sm.lsuFree = issue + 1
 
-		if d.tracer != nil {
-			evk := trace.EvLoad
-			switch op.kind {
-			case core.KindStore:
-				evk = trace.EvStore
-			case core.KindAtomic:
-				evk = trace.EvAtomic
-			}
-			d.tracer.Record(trace.Event{Cycle: issue, Kind: evk,
-				Block: c.Block, Warp: c.Warp, Addr: uint64(tx.line), Info: c.site})
-		}
-
 		// L1 residency first (functional fill on a miss), so functional
 		// execution and timing agree on hit/miss.
 		l1Hit := false
@@ -346,10 +320,6 @@ func (d *Device) serviceMem(c *Ctx, op *memOp) uint64 {
 				}
 				if op.atomicOp != core.AtomicRelease {
 					d.det.OnAtomicOp(c.Block, c.Warp, op.atomicOp, uint64(a), op.scope)
-				}
-				if res.Raced && d.tracer != nil {
-					d.tracer.Record(trace.Event{Cycle: issue, Kind: trace.EvRace,
-						Block: c.Block, Warp: c.Warp, Addr: uint64(a), Info: c.site})
 				}
 			}
 			for _, ch := range d.checkers {

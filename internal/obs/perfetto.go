@@ -5,13 +5,15 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
-	"scord/internal/trace"
+	"scord/internal/obs/tracing"
 )
 
 // PerfettoEvent is one Chrome trace_event record. The subset used here:
 // "X" complete events carry ts+dur, "i" instants carry ts and a scope,
-// "M" metadata events name processes and threads.
+// "s"/"f" carry flow arrows, "M" metadata events name processes and
+// threads.
 type PerfettoEvent struct {
 	Name string            `json:"name"`
 	Ph   string            `json:"ph"`
@@ -32,156 +34,132 @@ type PerfettoTrace struct {
 	DisplayTimeUnit string          `json:"displayTimeUnit"`
 }
 
-// WritePerfetto renders traced simulator events as trace_event JSON.
-// Timestamps are simulated cycles presented as microseconds (1 cycle =
-// 1 us), so the viewer's time axis reads directly in cycles.
+// WritePerfettoSpans renders a span-tree export (internal/obs/tracing)
+// as Chrome trace_event JSON for ui.perfetto.dev. Nesting (run ⊃ kernel
+// ⊃ barrier-phase ⊃ check-batch) is explicit in the track layout:
 //
-// The mapping:
-//   - EvKernel .. EvKernelEnd pairs become "X" spans on the kernel track
-//     (tid 0); a kernel still open at the end of the trace is closed at
-//     the last event's cycle.
-//   - EvBarrierWait opens a per-warp wait that the block's next EvBarrier
-//     release closes, giving each warp's barrier-wait interval as an "X"
-//     span on that warp's track.
-//   - EvRace becomes a thread-scoped "i" instant on the racing warp's
-//     track, with the address and source site in args.
-//   - EvFence becomes a thread-scoped "i" instant (scope in args).
+//   - tid 0 carries the run and kernel spans;
+//   - each block's barrier-phase and check-batch spans go on a "block N"
+//     track (tid = block + 1), nested by their timestamps.
 //
-// Warp tracks are numbered deterministically: unique (block, warp) pairs
-// sorted ascending get tids 1, 2, ... with "M" thread_name metadata, so
-// identical traces serialize identically.
-func WritePerfetto(w io.Writer, events []trace.Event) error {
-	// Assign tids: kernel track is 0; (block, warp) tracks follow sorted.
-	type bw struct{ block, warp int }
-	seen := map[bw]bool{}
-	var pairs []bw
-	for _, e := range events {
-		switch e.Kind {
-		case trace.EvKernel, trace.EvKernelEnd, trace.EvBarrier:
-			continue
-		}
-		p := bw{e.Block, e.Warp}
-		if !seen[p] {
-			seen[p] = true
-			pairs = append(pairs, p)
+// Span point events become thread-scoped "i" instants. A "race" event
+// (attached by tracing.AttachRaces) additionally emits a flow arrow: a
+// flow that starts inside the previous access's check-batch span at the
+// recorded previous cycle and ends at the race instant, which itself
+// sits inside the current access's check-batch span — so the viewer
+// draws an arrow connecting both access spans through the verdict.
+//
+// Spans the tracer dropped past its cap are missing from the tracks, so
+// a non-zero Export.Dropped is shown as a "dropped_spans" arg on the
+// process_name metadata.
+//
+// Cycle-domain timestamps are presented as microseconds (1 cycle =
+// 1 us), so the viewer's time axis reads directly in cycles; wall-domain
+// exports are already in us. Output is deterministic: tracks are
+// assigned in sorted block order and events are emitted in the export's
+// span order.
+func WritePerfettoSpans(w io.Writer, ex tracing.Export) error {
+	// Track assignment: sorted distinct block attrs → tids 1, 2, ...
+	blocks := map[int]bool{}
+	for _, s := range ex.Spans {
+		if b, ok := spanBlock(s); ok {
+			blocks[b] = true
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].block != pairs[j].block {
-			return pairs[i].block < pairs[j].block
-		}
-		return pairs[i].warp < pairs[j].warp
-	})
-	tids := map[bw]int{}
+	var blockIDs []int
+	for b := range blocks {
+		blockIDs = append(blockIDs, b)
+	}
+	sort.Ints(blockIDs)
+	tids := map[int]int{}
+	process := map[string]string{"name": "scord " + string(ex.Domain) + " trace " + ex.TraceID}
+	if ex.Dropped > 0 {
+		process["dropped_spans"] = strconv.Itoa(ex.Dropped)
+	}
 	out := []PerfettoEvent{{
-		Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
-		Args: map[string]string{"name": "scord device"},
+		Name: "process_name", Ph: "M", Pid: 0, Tid: 0, Args: process,
 	}, {
 		Name: "thread_name", Ph: "M", Pid: 0, Tid: 0,
-		Args: map[string]string{"name": "kernel"},
+		Args: map[string]string{"name": "run"},
 	}}
-	for i, p := range pairs {
-		tids[p] = i + 1
+	for i, b := range blockIDs {
+		tids[b] = i + 1
 		out = append(out, PerfettoEvent{
 			Name: "thread_name", Ph: "M", Pid: 0, Tid: i + 1,
-			Args: map[string]string{"name": fmt.Sprintf("b%d.w%d", p.block, p.warp)},
+			Args: map[string]string{"name": fmt.Sprintf("block %d", b)},
 		})
 	}
 
-	var last uint64
-	for _, e := range events {
-		if e.Cycle > last {
-			last = e.Cycle
+	// Span IDs → (tid) for flow-arrow resolution.
+	spanTid := map[string]int{}
+	tidOf := func(s tracing.ExportSpan) int {
+		if b, ok := spanBlock(s); ok {
+			return tids[b]
 		}
+		return 0
+	}
+	for _, s := range ex.Spans {
+		spanTid[s.SpanID] = tidOf(s)
 	}
 
-	// Pair spans in one chronological pass.
-	type openWait struct {
-		warp  bw
-		start uint64
-	}
-	var kernelName string
-	var kernelStart uint64
-	kernelOpen := false
-	waits := map[int][]openWait{} // block -> open barrier waits
-	closeKernel := func(end uint64) {
+	flowID := 0
+	for _, s := range ex.Spans {
+		tid := tidOf(s)
+		args := map[string]string{"span_id": s.SpanID}
+		for _, a := range s.Attrs {
+			args[a.Key] = a.Value
+		}
 		out = append(out, PerfettoEvent{
-			Name: kernelName, Ph: "X", Ts: kernelStart, Dur: end - kernelStart,
-			Pid: 0, Tid: 0,
+			Name: s.Name, Ph: "X", Ts: s.Start, Dur: s.End - s.Start,
+			Pid: 0, Tid: tid, Args: args,
 		})
-		kernelOpen = false
-	}
-	for _, e := range events {
-		switch e.Kind {
-		case trace.EvKernel:
-			if kernelOpen {
-				closeKernel(e.Cycle)
+		for _, e := range s.Events {
+			eargs := map[string]string{}
+			for _, a := range e.Attrs {
+				eargs[a.Key] = a.Value
 			}
-			kernelName, kernelStart, kernelOpen = e.Info, e.Cycle, true
-
-		case trace.EvKernelEnd:
-			if kernelOpen {
-				closeKernel(e.Cycle)
-			}
-
-		case trace.EvBarrierWait:
-			waits[e.Block] = append(waits[e.Block], openWait{bw{e.Block, e.Warp}, e.Cycle})
-
-		case trace.EvBarrier:
-			for _, wt := range waits[e.Block] {
-				out = append(out, PerfettoEvent{
-					Name: "barrier-wait", Ph: "X", Ts: wt.start, Dur: e.Cycle - wt.start,
-					Pid: 0, Tid: tids[wt.warp],
-					Args: map[string]string{"release": e.Info},
-				})
-			}
-			delete(waits, e.Block)
-
-		case trace.EvRace:
 			out = append(out, PerfettoEvent{
-				Name: "race", Ph: "i", Ts: e.Cycle, Pid: 0, Tid: tids[bw{e.Block, e.Warp}], S: "t",
-				Args: map[string]string{
-					"addr": fmt.Sprintf("%#x", e.Addr),
-					"site": e.Info,
-				},
+				Name: e.Name, Ph: "i", Ts: e.Time, Pid: 0, Tid: tid, S: "t",
+				Args: eargs,
 			})
-
-		case trace.EvFence:
+			if e.Name != "race" {
+				continue
+			}
+			// Flow arrow: previous access span → race instant. The
+			// instant already sits inside the current access span's
+			// track, so the arrow visually joins both sides.
+			prevSpan, okPrev := eargs["prev_span"]
+			prevTid, known := spanTid[prevSpan]
+			if !okPrev || !known {
+				continue
+			}
+			prevTs := e.Time
+			if c, err := strconv.ParseUint(eargs["prev_cycle"], 10, 64); err == nil {
+				prevTs = c
+			}
+			flowID++
 			out = append(out, PerfettoEvent{
-				Name: "fence", Ph: "i", Ts: e.Cycle, Pid: 0, Tid: tids[bw{e.Block, e.Warp}], S: "t",
-				Args: map[string]string{"scope": e.Info},
-			})
-		}
-	}
-	if kernelOpen {
-		closeKernel(last)
-	}
-	// Close dangling waits (ring eviction can drop a release) at the end
-	// of the trace. Blocks are visited in sorted order for stable output.
-	var openBlocks []int
-	for b, ws := range waits {
-		if len(ws) > 0 {
-			openBlocks = append(openBlocks, b)
-		}
-	}
-	sort.Ints(openBlocks)
-	for _, b := range openBlocks {
-		for _, wt := range waits[b] {
-			out = append(out, PerfettoEvent{
-				Name: "barrier-wait", Ph: "X", Ts: wt.start, Dur: last - wt.start,
-				Pid: 0, Tid: tids[wt.warp],
-				Args: map[string]string{"release": "unreleased-at-trace-end"},
+				Name: "race-flow", Ph: "s", Ts: prevTs, Pid: 0, Tid: prevTid,
+				ID: flowID,
+			}, PerfettoEvent{
+				Name: "race-flow", Ph: "f", Ts: e.Time, Pid: 0, Tid: tid,
+				ID: flowID, BP: "e",
 			})
 		}
 	}
 
-	return encodePerfetto(w, out)
-}
-
-// encodePerfetto writes the trace_event envelope shared by both
-// exporters.
-func encodePerfetto(w io.Writer, out []PerfettoEvent) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(PerfettoTrace{TraceEvents: out, DisplayTimeUnit: "ms"})
+}
+
+// spanBlock extracts a span's "block" attribute as an int.
+func spanBlock(s tracing.ExportSpan) (int, bool) {
+	for _, a := range s.Attrs {
+		if a.Key == "block" {
+			b, err := strconv.Atoi(a.Value)
+			return b, err == nil
+		}
+	}
+	return 0, false
 }

@@ -5,221 +5,8 @@ import (
 	"encoding/json"
 	"testing"
 
-	"scord/internal/config"
-	"scord/internal/gpu"
 	"scord/internal/obs/tracing"
-	"scord/internal/scor/micro"
-	"scord/internal/trace"
 )
-
-// TestPerfettoSyntheticSpans: the exporter pairs kernel and barrier span
-// events and emits race instants, and the output parses as trace_event
-// JSON.
-func TestPerfettoSyntheticSpans(t *testing.T) {
-	events := []trace.Event{
-		{Cycle: 0, Kind: trace.EvKernel, Info: "k"},
-		{Cycle: 10, Kind: trace.EvBarrierWait, Block: 0, Warp: 0},
-		{Cycle: 14, Kind: trace.EvBarrierWait, Block: 0, Warp: 1},
-		{Cycle: 20, Kind: trace.EvBarrier, Block: 0, Info: "id=1 warps=2"},
-		{Cycle: 25, Kind: trace.EvRace, Block: 0, Warp: 1, Addr: 0x80, Info: "site.x"},
-		{Cycle: 40, Kind: trace.EvKernelEnd, Info: "k"},
-	}
-	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	var doc PerfettoTrace
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid trace JSON: %v", err)
-	}
-	var kernel, waits, races int
-	for _, e := range doc.TraceEvents {
-		switch {
-		case e.Ph == "X" && e.Name == "k":
-			kernel++
-			if e.Ts != 0 || e.Dur != 40 {
-				t.Fatalf("kernel span ts=%d dur=%d", e.Ts, e.Dur)
-			}
-		case e.Ph == "X" && e.Name == "barrier-wait":
-			waits++
-			if e.Ts+e.Dur != 20 {
-				t.Fatalf("wait span does not end at release: ts=%d dur=%d", e.Ts, e.Dur)
-			}
-		case e.Ph == "i" && e.Name == "race":
-			races++
-			if e.Args["addr"] != "0x80" || e.Args["site"] != "site.x" {
-				t.Fatalf("race args: %v", e.Args)
-			}
-		}
-	}
-	if kernel != 1 || waits != 2 || races != 1 {
-		t.Fatalf("kernel=%d waits=%d races=%d", kernel, waits, races)
-	}
-}
-
-func TestPerfettoDeterministic(t *testing.T) {
-	events := []trace.Event{
-		{Cycle: 0, Kind: trace.EvKernel, Info: "k"},
-		{Cycle: 3, Kind: trace.EvLoad, Block: 1, Warp: 0, Addr: 4},
-		{Cycle: 5, Kind: trace.EvFence, Block: 1, Warp: 0, Info: "device"},
-		{Cycle: 9, Kind: trace.EvKernelEnd, Info: "k"},
-	}
-	var a, b bytes.Buffer
-	if err := WritePerfetto(&a, events); err != nil {
-		t.Fatal(err)
-	}
-	if err := WritePerfetto(&b, events); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("same events serialized differently")
-	}
-}
-
-// TestPerfettoFromInjectedRace: end to end — run the racey producer/
-// consumer microbenchmark under ScoRD, add a barrier kernel, export the
-// trace, and re-parse it. The export must contain the kernel spans, at
-// least one barrier-wait interval, and the injected race annotation.
-func TestPerfettoFromInjectedRace(t *testing.T) {
-	var m *micro.Micro
-	for _, mm := range micro.All() {
-		if mm.Name() == "fence.racey.cross-none" {
-			m = mm
-		}
-	}
-	if m == nil {
-		t.Fatal("micro fence.racey.cross-none not found")
-	}
-	d, err := gpu.New(config.Default().WithDetector(config.ModeCached))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := trace.New(1 << 14)
-	d.AttachTracer(tr)
-	if err := m.Run(d, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Launch("obs.barrier", 1, 64, func(c *gpu.Ctx) {
-		c.Work(5 + 3*c.Warp)
-		c.SyncThreads()
-		c.Work(2)
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, tr.Events()); err != nil {
-		t.Fatal(err)
-	}
-	var doc PerfettoTrace
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid trace JSON: %v", err)
-	}
-	kernels := map[string]bool{}
-	var waits, races int
-	for _, e := range doc.TraceEvents {
-		switch {
-		case e.Ph == "X" && e.Tid == 0:
-			kernels[e.Name] = true
-		case e.Ph == "X" && e.Name == "barrier-wait":
-			waits++
-		case e.Ph == "i" && e.Name == "race":
-			races++
-		}
-	}
-	if !kernels["micro.fence.racey.cross-none"] || !kernels["obs.barrier"] {
-		t.Fatalf("kernel spans missing: %v", kernels)
-	}
-	if waits == 0 {
-		t.Fatal("no barrier-wait spans from the barrier kernel")
-	}
-	if races == 0 {
-		t.Fatal("no race annotation from the injected race")
-	}
-}
-
-// TestPerfettoEmptyRing: exporting a tracer that recorded nothing still
-// produces a valid trace document (metadata only, no spans).
-func TestPerfettoEmptyRing(t *testing.T) {
-	tr := trace.New(16)
-	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, tr.Events()); err != nil {
-		t.Fatal(err)
-	}
-	var doc PerfettoTrace
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid trace JSON: %v", err)
-	}
-	for _, e := range doc.TraceEvents {
-		if e.Ph != "M" {
-			t.Fatalf("unexpected %s event %q in empty export", e.Ph, e.Name)
-		}
-	}
-}
-
-// TestPerfettoRingWraparoundMidSpan: when the bounded ring evicts the
-// opening half of a span (the kernel start, a barrier wait), the export
-// degrades cleanly — orphaned closes are dropped, no span is invented,
-// and the document stays valid.
-func TestPerfettoRingWraparoundMidSpan(t *testing.T) {
-	tr := trace.New(3) // small enough to evict the kernel open + wait
-	tr.Record(trace.Event{Cycle: 0, Kind: trace.EvKernel, Info: "k"})
-	tr.Record(trace.Event{Cycle: 5, Kind: trace.EvBarrierWait, Block: 0, Warp: 0})
-	tr.Record(trace.Event{Cycle: 8, Kind: trace.EvFence, Block: 0, Warp: 1, Info: "device"})
-	tr.Record(trace.Event{Cycle: 9, Kind: trace.EvFence, Block: 0, Warp: 2, Info: "device"})
-	tr.Record(trace.Event{Cycle: 20, Kind: trace.EvBarrier, Block: 0, Info: "id=1 warps=1"})
-	tr.Record(trace.Event{Cycle: 40, Kind: trace.EvKernelEnd, Info: "k"})
-	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, tr.Events()); err != nil {
-		t.Fatal(err)
-	}
-	var doc PerfettoTrace
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid trace JSON: %v", err)
-	}
-	for _, e := range doc.TraceEvents {
-		if e.Ph == "X" {
-			t.Fatalf("span %q invented from an orphaned close (open half was evicted)", e.Name)
-		}
-	}
-}
-
-// TestPerfettoKernelOpenAtExport: a kernel with no end event is closed
-// at the last retained cycle, and a barrier wait with no release closes
-// there too, flagged as unreleased.
-func TestPerfettoKernelOpenAtExport(t *testing.T) {
-	events := []trace.Event{
-		{Cycle: 0, Kind: trace.EvKernel, Info: "k"},
-		{Cycle: 10, Kind: trace.EvBarrierWait, Block: 2, Warp: 3},
-		{Cycle: 35, Kind: trace.EvFence, Block: 2, Warp: 0, Info: "device"},
-	}
-	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	var doc PerfettoTrace
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid trace JSON: %v", err)
-	}
-	var kernel, waits int
-	for _, e := range doc.TraceEvents {
-		switch {
-		case e.Ph == "X" && e.Name == "k":
-			kernel++
-			if e.Ts != 0 || e.Dur != 35 {
-				t.Fatalf("open kernel closed at ts=%d dur=%d, want the last cycle 35", e.Ts, e.Dur)
-			}
-		case e.Ph == "X" && e.Name == "barrier-wait":
-			waits++
-			if e.Ts+e.Dur != 35 || e.Args["release"] != "unreleased-at-trace-end" {
-				t.Fatalf("dangling wait: ts=%d dur=%d args=%v", e.Ts, e.Dur, e.Args)
-			}
-		}
-	}
-	if kernel != 1 || waits != 1 {
-		t.Fatalf("kernel=%d waits=%d", kernel, waits)
-	}
-}
 
 // TestPerfettoSpansExport: the span-tree exporter nests block tracks,
 // keeps span attrs as args, and turns race events into instants with
@@ -249,14 +36,7 @@ func TestPerfettoSpansExport(t *testing.T) {
 		PrevBlock: 0, PrevWarp: 0, PrevCycle: 5,
 		CurBlock: 1, CurWarp: 0, CurCycle: 25,
 	}})
-	var buf bytes.Buffer
-	if err := WritePerfettoSpans(&buf, tr.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	var doc PerfettoTrace
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid trace JSON: %v", err)
-	}
+	doc := exportPerfetto(t, tr)
 	var flowStart, flowEnd, race *PerfettoEvent
 	batchTids := map[string]int{}
 	for i, e := range doc.TraceEvents {
@@ -290,9 +70,49 @@ func TestPerfettoSpansExport(t *testing.T) {
 	}
 }
 
-// TestPerfettoSpansEmptyExport: an empty span export stays valid.
+// TestPerfettoSpansEmptyExport: an empty span export stays valid, and
+// without drops the process metadata carries only its name.
 func TestPerfettoSpansEmptyExport(t *testing.T) {
 	tr := tracing.New(tracing.ClockCycles, tracing.DeriveTraceID("empty"), nil)
+	doc := exportPerfetto(t, tr)
+	if len(doc.TraceEvents) != 2 {
+		t.Fatalf("empty export has %d events, want the 2 metadata records", len(doc.TraceEvents))
+	}
+	want := "scord cycles trace " + tr.TraceID().String()
+	if args := doc.TraceEvents[0].Args; len(args) != 1 || args["name"] != want {
+		t.Fatalf("process_name args = %v, want only name %q", args, want)
+	}
+}
+
+// TestPerfettoSpansReportsDropped: spans past the tracer's cap are
+// missing from the tracks, so the export says how many on the
+// process_name metadata.
+func TestPerfettoSpansReportsDropped(t *testing.T) {
+	tr := tracing.New(tracing.ClockCycles, tracing.DeriveTraceID("capped"), nil)
+	tr.SetSpanCap(2)
+	root := tr.StartRootAt("run", 0)
+	for i := uint64(0); i < 2; i++ {
+		root.StartChildAt("kernel:k", i*10).FinishAt(i*10 + 5)
+	}
+	root.FinishAt(20)
+	doc := exportPerfetto(t, tr)
+	if pn := doc.TraceEvents[0]; pn.Name != "process_name" || pn.Args["dropped_spans"] != "1" {
+		t.Fatalf("process metadata %+v, want dropped_spans=1", pn)
+	}
+	var spans int
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "X" {
+			spans++
+		}
+	}
+	if spans != 2 {
+		t.Fatalf("exported %d spans, want the 2 under the cap", spans)
+	}
+}
+
+// exportPerfetto renders tr's snapshot and parses it back.
+func exportPerfetto(t *testing.T, tr *tracing.Tracer) PerfettoTrace {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := WritePerfettoSpans(&buf, tr.Snapshot()); err != nil {
 		t.Fatal(err)
@@ -301,4 +121,5 @@ func TestPerfettoSpansEmptyExport(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("invalid trace JSON: %v", err)
 	}
+	return doc
 }

@@ -40,10 +40,13 @@ type batch struct {
 	last     uint64
 }
 
-// NewBuilder starts a cycle-domain trace for the given identity parts
-// (typically benchmark name, config hash, seed — see DeriveTraceID).
-func NewBuilder(idParts ...string) *Builder {
-	tr := New(ClockCycles, DeriveTraceID(idParts...), nil)
+// NewBuilder starts the cycle-domain trace of the run h describes. The
+// trace ID hashes the benchmark name, config hash and seed, then each
+// injection (none for a clean run), so a live run and the replay of its
+// recording share one ID and injected runs differ from clean ones.
+func NewBuilder(h tracefile.Header) *Builder {
+	parts := []string{h.Benchmark, fmt.Sprintf("%016x", h.ConfigHash), fmt.Sprintf("%d", h.Seed)}
+	tr := New(ClockCycles, DeriveTraceID(append(parts, h.Injections...)...), nil)
 	return &Builder{
 		tr:       tr,
 		root:     tr.StartRootAt("run", 0),
@@ -204,7 +207,7 @@ func (b *Builder) closeKernel(cycle uint64) {
 // result is byte-identical to the live run the trace was recorded from:
 // both paths fold the same op stream through the same Builder.
 func FromOps(h tracefile.Header, ops []tracefile.Op) *Tracer {
-	b := NewBuilder(h.Benchmark, fmt.Sprintf("%016x", h.ConfigHash), fmt.Sprintf("%d", h.Seed))
+	b := NewBuilder(h)
 	var last uint64
 	for _, op := range ops {
 		switch op.Kind {

@@ -1,6 +1,11 @@
 package tracing
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+
+	"scord/internal/core"
+)
 
 // RaceMark identifies one race verdict in terms the cycle-domain span
 // tree can locate: both access sides as (block, warp, cycle) triples.
@@ -24,6 +29,27 @@ type RaceMark struct {
 	CurCycle            uint64
 }
 
+// RaceMarks converts race records into marks, reading both access sides
+// from the detector's captured provenance (core.Detector.EvidenceFor).
+// Records without evidence are skipped.
+func RaceMarks(races []core.Record, evidence func(core.Record) (core.Evidence, bool)) []RaceMark {
+	marks := make([]RaceMark, 0, len(races))
+	for _, rec := range races {
+		ev, ok := evidence(rec)
+		if !ok {
+			continue
+		}
+		marks = append(marks, RaceMark{
+			Kind:      rec.Kind.String(),
+			Addr:      rec.Addr,
+			Site:      rec.Site,
+			PrevBlock: ev.Prev.Block, PrevWarp: ev.Prev.Warp, PrevCycle: ev.Prev.Cycle,
+			CurBlock: ev.Cur.Block, CurWarp: ev.Cur.Warp, CurCycle: ev.Cur.Cycle,
+		})
+	}
+	return marks
+}
+
 // AttachRaces adds one "race" event per mark to the span tree, anchored
 // on the check-batch span containing the current access (falling back to
 // the root when no batch matches). Each event carries the span IDs of
@@ -32,9 +58,10 @@ type RaceMark struct {
 // closed); marks that match no span still produce a root-anchored event
 // so no verdict silently disappears from the export.
 func AttachRaces(t *Tracer, marks []RaceMark) {
+	batches := t.batchesByWarp()
 	for _, m := range marks {
-		anchor := t.findBatch(m.CurBlock, m.CurWarp, m.CurCycle)
-		prev := t.findBatch(m.PrevBlock, m.PrevWarp, m.PrevCycle)
+		anchor := findBatch(batches, m.CurBlock, m.CurWarp, m.CurCycle)
+		prev := findBatch(batches, m.PrevBlock, m.PrevWarp, m.PrevCycle)
 		attrs := []Attr{
 			{Key: "kind", Value: m.Kind},
 			{Key: "addr", Value: fmt.Sprintf("%#x", m.Addr)},
@@ -56,25 +83,34 @@ func AttachRaces(t *Tracer, marks []RaceMark) {
 	}
 }
 
-// findBatch returns the check-batch span for (block, warp) whose
-// interval contains cycle, or nil. Spans are scanned in creation order,
-// so ties resolve deterministically to the earliest batch.
-func (t *Tracer) findBatch(block, warp int, cycle uint64) *Span {
-	blockS, warpS := fmt.Sprintf("%d", block), fmt.Sprintf("%d", warp)
+// batchesByWarp indexes the check-batch spans by their (block, warp)
+// attributes, each list in creation order.
+func (t *Tracer) batchesByWarp() map[batchKey][]*Span {
+	idx := map[batchKey][]*Span{}
 	for _, s := range t.spans {
 		if s.name != "check-batch" {
 			continue
 		}
-		var bOK, wOK bool
+		k := batchKey{-1, -1}
 		for _, a := range s.attrs {
-			if a.Key == "block" && a.Value == blockS {
-				bOK = true
-			}
-			if a.Key == "warp" && a.Value == warpS {
-				wOK = true
+			switch a.Key {
+			case "block":
+				k.block, _ = strconv.Atoi(a.Value)
+			case "warp":
+				k.warp, _ = strconv.Atoi(a.Value)
 			}
 		}
-		if bOK && wOK && s.start <= cycle && (s.open || cycle <= s.end) {
+		idx[k] = append(idx[k], s)
+	}
+	return idx
+}
+
+// findBatch returns the check-batch span of (block, warp) whose interval
+// contains cycle, or nil. The earliest-created batch wins ties, so the
+// choice is deterministic.
+func findBatch(batches map[batchKey][]*Span, block, warp int, cycle uint64) *Span {
+	for _, s := range batches[batchKey{block, warp}] {
+		if s.start <= cycle && (s.open || cycle <= s.end) {
 			return s
 		}
 	}

@@ -27,6 +27,7 @@ package tracing
 import (
 	"fmt"
 	"hash/fnv"
+	"log/slog"
 	"sort"
 )
 
@@ -231,6 +232,16 @@ func (t *Tracer) Dropped() int { return t.dropped }
 
 // Len reports retained spans.
 func (t *Tracer) Len() int { return len(t.spans) }
+
+// LogValue reports the trace's identity and size for structured logs,
+// including any spans dropped past the cap, which an export lacks.
+func (t *Tracer) LogValue() slog.Value {
+	attrs := []slog.Attr{slog.String("id", t.traceID.String()), slog.Int("spans", len(t.spans))}
+	if t.dropped > 0 {
+		attrs = append(attrs, slog.Int("dropped_spans", t.dropped))
+	}
+	return slog.GroupValue(attrs...)
+}
 
 func (t *Tracer) now() uint64 {
 	if t.clock == nil {

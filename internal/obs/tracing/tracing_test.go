@@ -167,7 +167,7 @@ func fold(b *Builder) {
 func TestBuilderDeterministic(t *testing.T) {
 	var buf1, buf2 bytes.Buffer
 	for i, buf := range []*bytes.Buffer{&buf1, &buf2} {
-		b := NewBuilder("bench", "cfg", "1")
+		b := NewBuilder(tracefile.Header{Benchmark: "bench", Seed: 1})
 		fold(b)
 		if err := b.Tracer().WriteJSON(buf); err != nil {
 			t.Fatalf("run %d: %v", i, err)
@@ -189,7 +189,7 @@ func TestFromOpsMatchesBuilder(t *testing.T) {
 	// (the live path) and once through FromOps over equivalent decoded
 	// records (the replay path); the JSON must be byte-identical.
 	h := tracefile.Header{Benchmark: "bench", ConfigHash: 0xabcdef, Seed: 1}
-	live := NewBuilder(h.Benchmark, "0000000000abcdef", "1")
+	live := NewBuilder(h)
 	fold(live)
 	var liveJSON bytes.Buffer
 	live.Tracer().WriteJSON(&liveJSON)
@@ -217,5 +217,27 @@ func TestFromOpsMatchesBuilder(t *testing.T) {
 
 	if liveJSON.String() != replayJSON.String() {
 		t.Fatalf("live vs replay span JSON differ:\nlive:\n%s\nreplay:\n%s", liveJSON.String(), replayJSON.String())
+	}
+}
+
+// TestBuilderTraceID: the span trace identity comes from the trace
+// header. Injections change it; without them it is the hash of the
+// benchmark name, config hash and seed that clean runs have always had.
+func TestBuilderTraceID(t *testing.T) {
+	id := func(h tracefile.Header) TraceID { return NewBuilder(h).Tracer().TraceID() }
+	clean := tracefile.Header{Benchmark: "GCOL", ConfigHash: 0xabcdef, Seed: 1}
+	if got, want := id(clean), DeriveTraceID("GCOL", "0000000000abcdef", "1"); got != want {
+		t.Fatalf("clean trace ID %s, want %s", got, want)
+	}
+	empty := clean
+	empty.Injections = []string{}
+	if id(empty) != id(clean) {
+		t.Fatal("an empty injection list changed the trace ID")
+	}
+	one, two := clean, clean
+	one.Injections = []string{"own-atomic"}
+	two.Injections = []string{"own-atomic", "steal-atomic"}
+	if id(one) == id(clean) || id(two) == id(clean) || id(one) == id(two) {
+		t.Fatalf("injections not in the trace ID: clean %s, one %s, two %s", id(clean), id(one), id(two))
 	}
 }
