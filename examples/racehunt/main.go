@@ -28,7 +28,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		models := detectors.All()
+		models := detectors.All(dev.Mem().Words())
 		for _, mod := range models {
 			dev.AddChecker(mod)
 		}

@@ -47,7 +47,7 @@ func MaskedRaceExample() (tracefile.Header, []tracefile.Op) {
 	h := tracefile.NewHeader("explore.masked", nil, cfg)
 
 	// Mirror replay's deterministic bump allocator for the Base fields.
-	mm := mem.New(uint64(cfg.DeviceMemBytes))
+	mm := mem.NewMap(uint64(cfg.DeviceMemBytes))
 	const fillersPerGap = 400
 	locksBase := mm.Alloc("m.locks", 2*mem.WordBytes)
 	dataBase := mm.Alloc("m.data", uint64(3+2*fillersPerGap)*mem.WordBytes)

@@ -244,7 +244,7 @@ func newAnalysis(h tracefile.Header, opt Options) (*analysis, error) {
 		acqrel: h.Config.Detector.AcqRel,
 		phases: make(map[int]uint64),
 		words:  make(map[uint64]*wordState),
-		mm:     mem.New(memBytes),
+		mm:     mem.NewMap(memBytes),
 		res:    &Result{Header: h},
 		index:  make(map[recordKey]int),
 	}, nil

@@ -243,6 +243,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: MaxThreadsBlock %d not a multiple of WarpSize %d", c.MaxThreadsBlock, c.WarpSize)
 	case c.LineSize <= 0 || c.LineSize%4 != 0:
 		return fmt.Errorf("config: LineSize must be a positive multiple of 4, got %d", c.LineSize)
+	case c.L1Assoc <= 0 || c.L2Assoc <= 0:
+		return fmt.Errorf("config: cache associativities must be positive, got L1 %d, L2 %d", c.L1Assoc, c.L2Assoc)
 	case c.L1Size%(c.LineSize*c.L1Assoc) != 0:
 		return fmt.Errorf("config: L1Size %d not divisible by LineSize*Assoc %d", c.L1Size, c.LineSize*c.L1Assoc)
 	case c.L2Size%(c.LineSize*c.L2Assoc) != 0:

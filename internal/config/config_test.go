@@ -45,6 +45,8 @@ func TestValidateRejects(t *testing.T) {
 		func(c *Config) { c.MaxThreadsBlock = 100 },
 		func(c *Config) { c.LineSize = 100 },
 		func(c *Config) { c.L1Size = 777 },
+		func(c *Config) { c.L1Assoc = 0 },
+		func(c *Config) { c.L2Assoc = 0 },
 		func(c *Config) { c.L2Size = 777 },
 		func(c *Config) { c.MemChannels = 0 },
 		func(c *Config) { c.DeviceMemBytes = 100 },

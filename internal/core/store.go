@@ -18,66 +18,82 @@ import (
 // Entries live in Go memory; their *addresses* are modelled in a reserved
 // region starting at metaBase so the gpu package can charge L2/DRAM timing
 // for every metadata access.
+//
+// Host storage is paged: the numEntries logical entries are split into
+// fixed pages that materialize on first write, and a page never written
+// since the last Reset reads as InitEntry. Construction and Reset
+// therefore cost what a kernel touches, not the size of the arena, while
+// entry indices and modelled addresses are those of one dense array.
 type MetaStore struct {
-	mode     config.DetectorMode
-	entries  []Entry
-	ratio    int  // cached mode: words per entry slot
-	grpShift uint // granularity modes: log2(words per entry)
-	metaBase uint64
+	mode       config.DetectorMode
+	numEntries int
+	pages      []*metaPage // nil: every entry of the page is InitEntry
+	touched    []int       // pages materialized since the last Reset
+	free       []*metaPage // pages released by Reset, reused first
+	grpShift   uint        // granularity modes: log2(words per entry)
+	metaBase   uint64
 }
+
+// pageShift sets the page size: 512 entries, 4 KB of host memory.
+const (
+	pageShift = 9
+	pageLen   = 1 << pageShift
+	pageMask  = pageLen - 1
+)
+
+type metaPage [pageLen]Entry
 
 // NewMetaStore sizes a store for a device arena of totalWords 4-byte
 // words. metaBase is the first byte address of the modelled metadata
 // region (placed just above the data arena).
 func NewMetaStore(mode config.DetectorMode, totalWords, cacheRatio int, metaBase uint64) *MetaStore {
-	s := &MetaStore{mode: mode, ratio: cacheRatio, metaBase: metaBase}
+	s := &MetaStore{mode: mode, metaBase: metaBase}
 	switch mode {
 	case config.ModeFull4B:
-		s.entries = make([]Entry, totalWords)
+		s.numEntries = totalWords
 	case config.ModeCached:
 		if cacheRatio <= 0 {
 			panic("core: cache ratio must be positive")
 		}
-		n := totalWords / cacheRatio
-		if n == 0 {
-			n = 1
-		}
-		s.entries = make([]Entry, n)
+		s.numEntries = max(totalWords/cacheRatio, 1)
 	case config.ModeGran8B:
 		s.grpShift = 1
-		s.entries = make([]Entry, (totalWords+1)/2)
+		s.numEntries = (totalWords + 1) / 2
 	case config.ModeGran16B:
 		s.grpShift = 2
-		s.entries = make([]Entry, (totalWords+3)/4)
+		s.numEntries = (totalWords + 3) / 4
 	default:
 		panic(fmt.Sprintf("core: MetaStore for mode %v", mode))
 	}
-	s.Reset()
+	s.pages = make([]*metaPage, (s.numEntries+pageMask)>>pageShift)
 	return s
 }
 
 // Reset restores every entry to the (re-)initialization pattern. Called at
 // each kernel launch, matching the paper's per-execution detection window.
+// Only the pages written since the previous Reset are released.
 func (s *MetaStore) Reset() {
-	for i := range s.entries {
-		s.entries[i] = InitEntry
+	for _, pi := range s.touched {
+		s.free = append(s.free, s.pages[pi])
+		s.pages[pi] = nil
 	}
+	s.touched = s.touched[:0]
 }
 
 // NumEntries returns the entry count (tests and overhead accounting).
-func (s *MetaStore) NumEntries() int { return len(s.entries) }
+func (s *MetaStore) NumEntries() int { return s.numEntries }
 
 // OverheadPercent returns metadata bytes as a percentage of the data bytes
 // covered (the paper's 200% / 100% / 50% / 12.5% figures).
 func (s *MetaStore) OverheadPercent(totalWords int) float64 {
-	return float64(len(s.entries)*8) / float64(totalWords*4) * 100
+	return float64(s.numEntries*8) / float64(totalWords*4) * 100
 }
 
 // slot maps a word index to its entry index and expected tag.
 func (s *MetaStore) slot(wordIdx int) (idx int, tag uint8) {
 	switch s.mode {
 	case config.ModeCached:
-		return wordIdx % len(s.entries), uint8(wordIdx/len(s.entries)) & 0xF
+		return wordIdx % s.numEntries, uint8(wordIdx/s.numEntries) & 0xF
 	default:
 		return wordIdx >> s.grpShift, 0
 	}
@@ -88,7 +104,15 @@ func (s *MetaStore) slot(wordIdx int) (idx int, tag uint8) {
 // miss): the caller must skip detection and overwrite.
 func (s *MetaStore) Lookup(wordIdx int) (idx int, e Entry, tag uint8, tagOK bool) {
 	idx, tag = s.slot(wordIdx)
-	e = s.entries[idx]
+	if uint(idx) >= uint(s.numEntries) {
+		// The simulator and the trace decoder reject such addresses
+		// first, so reaching here is a bug.
+		panic(fmt.Sprintf("core: word %d outside the %d-entry metadata store", wordIdx, s.numEntries))
+	}
+	e = InitEntry
+	if p := s.pages[idx>>pageShift]; p != nil {
+		e = p[idx&pageMask]
+	}
 	if s.mode == config.ModeCached {
 		// An initialized entry is owned by nobody yet: any tag may claim it.
 		tagOK = e.IsInit() || e.Tag() == tag
@@ -98,8 +122,31 @@ func (s *MetaStore) Lookup(wordIdx int) (idx int, e Entry, tag uint8, tagOK bool
 	return idx, e, tag, tagOK
 }
 
-// Update writes back an entry.
-func (s *MetaStore) Update(idx int, e Entry) { s.entries[idx] = e }
+// Update writes back an entry at an index Lookup returned.
+func (s *MetaStore) Update(idx int, e Entry) {
+	p := s.pages[idx>>pageShift]
+	if p == nil {
+		p = s.materialize(idx)
+	}
+	p[idx&pageMask] = e
+}
+
+// materialize backs the page holding entry idx with storage holding
+// InitEntry throughout, reusing a released page when there is one.
+func (s *MetaStore) materialize(idx int) *metaPage {
+	var p *metaPage
+	if n := len(s.free); n > 0 {
+		p, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		p = new(metaPage)
+	}
+	for i := range p {
+		p[i] = InitEntry
+	}
+	s.pages[idx>>pageShift] = p
+	s.touched = append(s.touched, idx>>pageShift)
+	return p
+}
 
 // AddrOf returns the modelled byte address of entry idx, used to charge
 // L2/DRAM timing for metadata traffic.

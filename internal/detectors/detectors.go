@@ -30,28 +30,33 @@ type model struct {
 	blindAtomics bool // treat every atomic as device scope
 }
 
-func newModel(name string, blindFences, blindAtomics bool) *model {
+// newModel sizes the wrapped detector's metadata for an arena of words
+// 4-byte words; it has no modelled timing, so no metadata base either.
+func newModel(name string, words int, blindFences, blindAtomics bool) *model {
 	cfg := config.Default().Detector
 	cfg.Mode = config.ModeFull4B
 	return &model{
 		name:         name,
-		inner:        core.NewDetector(cfg, 1<<22, 0, &stats.Stats{}),
+		inner:        core.NewDetector(cfg, words, 0, &stats.Stats{}),
 		blindFences:  blindFences,
 		blindAtomics: blindAtomics,
 	}
 }
 
 // NewHAccRG models HAccRG (Holey et al., ICPP'13): hardware happens-before
-// and lock tracking, but entirely scope-blind.
-func NewHAccRG() core.Checker { return newModel("HAccRG", true, true) }
+// and lock tracking, but entirely scope-blind. words is the device
+// arena's size in 4-byte words (Config.DeviceMemBytes / 4); every access
+// the model sees must fall inside it.
+func NewHAccRG(words int) core.Checker { return newModel("HAccRG", words, true, true) }
 
 // NewBarracuda models Barracuda (Eizenberg et al., PLDI'17): honors fence
-// scopes but ignores atomic scopes.
-func NewBarracuda() core.Checker { return newModel("Barracuda", false, true) }
+// scopes but ignores atomic scopes. words is as for NewHAccRG.
+func NewBarracuda(words int) core.Checker { return newModel("Barracuda", words, false, true) }
 
 // NewCURD models CURD (Peng et al., PLDI'18): the same capability profile
 // as Barracuda (it delegates atomics/fences to Barracuda's machinery).
-func NewCURD() core.Checker { return newModel("CURD", false, true) }
+// words is as for NewHAccRG.
+func NewCURD(words int) core.Checker { return newModel("CURD", words, false, true) }
 
 func (m *model) Name() string           { return m.name }
 func (m *model) OnKernelStart()         { m.inner.ResetForKernel() }
@@ -138,7 +143,8 @@ func (l *ldetector) OnFence(int, int, core.Scope)                           {}
 func (l *ldetector) OnAtomicOp(int, int, core.AtomicOp, uint64, core.Scope) {}
 func (l *ldetector) Records() []core.Record                                 { return l.records }
 
-// All returns the four comparison models in Table VIII order.
-func All() []core.Checker {
-	return []core.Checker{NewLDetector(), NewHAccRG(), NewBarracuda(), NewCURD()}
+// All returns the four comparison models in Table VIII order, for a
+// device arena of words 4-byte words.
+func All(words int) []core.Checker {
+	return []core.Checker{NewLDetector(), NewHAccRG(words), NewBarracuda(words), NewCURD(words)}
 }

@@ -6,6 +6,9 @@ import (
 	"scord/internal/core"
 )
 
+// words sizes the models for the default 2 MB device arena.
+const words = 1 << 19
+
 func access(kind core.AccessKind, addr uint64, block int, scope core.Scope) core.Access {
 	return core.Access{Kind: kind, Addr: addr, Block: block, Scope: scope, Strong: true}
 }
@@ -13,7 +16,7 @@ func access(kind core.AccessKind, addr uint64, block int, scope core.Scope) core
 // TestHAccRGMissesScopedFence: a block-scope fence looks like a device
 // fence to a scope-blind detector, so the scoped fence race goes unseen.
 func TestHAccRGMissesScopedFence(t *testing.T) {
-	h := NewHAccRG()
+	h := NewHAccRG(words)
 	h.OnKernelStart()
 	h.OnAccess(access(core.KindStore, 0x100, 0, core.ScopeDevice))
 	h.OnFence(0, 0, core.ScopeBlock) // insufficient, but HAccRG can't tell
@@ -23,7 +26,7 @@ func TestHAccRGMissesScopedFence(t *testing.T) {
 	}
 
 	// Barracuda honors fence scopes and does catch it.
-	b := NewBarracuda()
+	b := NewBarracuda(words)
 	b.OnKernelStart()
 	b.OnAccess(access(core.KindStore, 0x100, 0, core.ScopeDevice))
 	b.OnFence(0, 0, core.ScopeBlock)
@@ -36,8 +39,8 @@ func TestHAccRGMissesScopedFence(t *testing.T) {
 // TestBarracudaMissesScopedAtomic: atomic scopes are invisible to the
 // Barracuda/CURD models.
 func TestBarracudaMissesScopedAtomic(t *testing.T) {
-	for _, mk := range []func() core.Checker{NewBarracuda, NewCURD, NewHAccRG} {
-		m := mk()
+	for _, mk := range []func(int) core.Checker{NewBarracuda, NewCURD, NewHAccRG} {
+		m := mk(words)
 		m.OnKernelStart()
 		m.OnAccess(access(core.KindAtomic, 0x100, 0, core.ScopeBlock))
 		m.OnAccess(access(core.KindAtomic, 0x100, 1, core.ScopeBlock))
@@ -50,8 +53,8 @@ func TestBarracudaMissesScopedAtomic(t *testing.T) {
 // TestModelsCatchPlainMissingFence: all happens-before models catch an
 // unsynchronized cross-block conflict.
 func TestModelsCatchPlainMissingFence(t *testing.T) {
-	for _, mk := range []func() core.Checker{NewHAccRG, NewBarracuda, NewCURD} {
-		m := mk()
+	for _, mk := range []func(int) core.Checker{NewHAccRG, NewBarracuda, NewCURD} {
+		m := mk(words)
 		m.OnKernelStart()
 		m.OnAccess(access(core.KindStore, 0x100, 0, core.ScopeDevice))
 		m.OnAccess(access(core.KindLoad, 0x100, 1, core.ScopeDevice))
@@ -110,7 +113,7 @@ func TestKernelStartResets(t *testing.T) {
 }
 
 func TestAllReturnsFourModels(t *testing.T) {
-	models := All()
+	models := All(words)
 	if len(models) != 4 {
 		t.Fatalf("All() = %d models, want 4", len(models))
 	}

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 
 	"scord/internal/config"
-	"scord/internal/detectors"
 	"scord/internal/gpu"
 	"scord/internal/replay"
 	"scord/internal/scor"
@@ -86,18 +85,18 @@ func RecordMicros(opt Options, dir string) error {
 }
 
 // replayTargets builds one fresh instance of every Table VIII model as a
-// replay target: the four comparison checkers plus real ScoRD under the
-// trace's recorded configuration.
+// replay target, each under the trace's recorded configuration: the four
+// comparison checkers plus real ScoRD.
 func replayTargets(h tracefile.Header) ([]replay.Target, error) {
 	var targets []replay.Target
-	for _, mod := range detectors.All() {
-		targets = append(targets, replay.NewChecker(mod))
+	for _, name := range replay.TargetNames() {
+		t, err := replay.TargetByName(name, h.Config)
+		if err != nil {
+			return nil, err
+		}
+		targets = append(targets, t)
 	}
-	sc, err := replay.NewScoRD(h.Config)
-	if err != nil {
-		return nil, err
-	}
-	return append(targets, sc), nil
+	return targets, nil
 }
 
 // RunTable8Replay regenerates the Table VIII capability matrix from a

@@ -148,7 +148,7 @@ func RunTable8(opt Options) (*Table8, error) {
 				}
 				flush := opt.observe(d, label)
 				defer flush()
-				models := detectors.All()
+				models := detectors.All(d.Mem().Words())
 				for _, mod := range models {
 					d.AddChecker(mod)
 				}

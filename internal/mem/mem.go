@@ -25,6 +25,8 @@ type Allocation struct {
 // Memory is the device memory arena. The backing words hold the
 // authoritative globally-visible value of every location (conceptually the
 // L2 + DRAM contents; per-SM L1s keep possibly-stale copies on top).
+// A Memory built by NewMap has no backing words: it is the allocation map
+// alone.
 type Memory struct {
 	words  []uint32
 	size   uint64
@@ -42,6 +44,17 @@ func New(size uint64) *Memory {
 		words: make([]uint32, size/WordBytes),
 		size:  size,
 	}
+}
+
+// NewMap creates the allocation map of an arena of the given size, with no
+// data: Alloc, FindAlloc, Locate and Describe work as on New's arena,
+// while reading or writing a word panics. Replay and trace analysis use it
+// to resolve recorded addresses without paying for the arena's contents.
+func NewMap(size uint64) *Memory {
+	if size == 0 || size%WordBytes != 0 {
+		panic(fmt.Sprintf("mem: invalid arena size %d", size))
+	}
+	return &Memory{size: size}
 }
 
 // Size returns the arena size in bytes.
@@ -118,6 +131,9 @@ func (m *Memory) Describe(a Addr) string {
 func (m *Memory) WordIndex(a Addr) int {
 	i := int(a / WordBytes)
 	if i < 0 || i >= len(m.words) {
+		if m.words == nil {
+			panic(fmt.Sprintf("mem: data access at %#x on an allocation map", uint64(a)))
+		}
 		panic(fmt.Sprintf("mem: address %#x outside arena of %d bytes", uint64(a), m.size))
 	}
 	return i

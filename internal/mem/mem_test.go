@@ -100,3 +100,34 @@ func TestAllocDisjointProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMapMatchesArena checks that an allocation map places, names and
+// resolves allocations exactly as a full arena does, holds no words, and
+// panics on a data access.
+func TestMapMatchesArena(t *testing.T) {
+	const size = 2 << 20
+	arena, m := New(size), NewMap(size)
+	for i, n := range []uint64{10, 200, 4096, 4} {
+		name := string(rune('a' + i))
+		if a, b := arena.Alloc(name, n), m.Alloc(name, n); a != b {
+			t.Fatalf("Alloc(%q) = %#x on the map, %#x on the arena", name, b, a)
+		}
+	}
+	if m.Size() != arena.Size() || m.Used() != arena.Used() || m.Words() != 0 {
+		t.Fatalf("map size/used/words = %d/%d/%d, arena %d/%d", m.Size(), m.Used(), m.Words(), arena.Size(), arena.Used())
+	}
+	for a := Addr(0); a < Addr(arena.Used()+256); a += 60 {
+		if got, want := m.Describe(a), arena.Describe(a); got != want {
+			t.Fatalf("Describe(%#x) = %q, arena %q", a, got, want)
+		}
+	}
+	if al, ok := m.FindAlloc("c"); !ok || al.Size != 4096 {
+		t.Fatalf("FindAlloc(c) = %+v, %v", al, ok)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Read on an allocation map did not panic")
+		}
+	}()
+	m.Read(0)
+}

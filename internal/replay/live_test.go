@@ -18,7 +18,7 @@ import (
 // liveRun executes one micro on a live device with trace recording
 // attached and returns the trace bytes plus the live run's races and
 // detector-owned counters.
-func liveRun(t *testing.T, m *micro.Micro, cfg config.Config) (raw []byte, races []core.Record, ctr stats.Stats) {
+func liveRun(t testing.TB, m *micro.Micro, cfg config.Config) (raw []byte, races []core.Record, ctr stats.Stats) {
 	t.Helper()
 	var buf bytes.Buffer
 	tw, err := tracefile.NewWriter(&buf, tracefile.NewHeader(m.Name(), nil, cfg))
@@ -126,7 +126,7 @@ func TestLiveVsReplayCheckers(t *testing.T) {
 				t.Fatal(err)
 			}
 			d.SetOpSink(tw)
-			liveModels := detectors.All()
+			liveModels := detectors.All(d.Mem().Words())
 			for _, mod := range liveModels {
 				d.AddChecker(mod)
 			}
@@ -145,7 +145,7 @@ func TestLiveVsReplayCheckers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, mod := range detectors.All() {
+			for i, mod := range detectors.All(d.Mem().Words()) {
 				res, err := replay.RunOps(tr.Header(), ops, replay.NewChecker(mod))
 				if err != nil {
 					t.Fatalf("%s: %v", mod.Name(), err)
@@ -195,6 +195,78 @@ func TestReplayReconstructsAllocations(t *testing.T) {
 		got := res.DescribeRecord(rec)
 		if got != want {
 			t.Errorf("record %d description differs:\nlive:   %s\nreplay: %s", i, want, got)
+		}
+	}
+}
+
+// TestLiveVsReplayScaledArena records a micro on a 32 MB device (the
+// arena of a -scale 16 run) with its buffers placed above 18 MB and
+// replays it under all five targets. Every model's metadata must cover
+// the trace's whole arena, and each reproduces its live verdict.
+func TestLiveVsReplayScaledArena(t *testing.T) {
+	const pad = 18 << 20
+	var m *micro.Micro
+	for _, c := range micro.All() {
+		if c.Name() == "lock.racey.none-cross" {
+			m = c
+		}
+	}
+	cfg := config.Default().WithDetector(config.ModeFull4B)
+	cfg.DeviceMemBytes *= 16
+	var buf bytes.Buffer
+	tw, err := tracefile.NewWriter(&buf, tracefile.NewHeader(m.Name(), nil, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := gpu.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetOpSink(tw)
+	d.Alloc("pad", pad/4)
+	live := map[string][]core.Record{}
+	models := detectors.All(d.Mem().Words())
+	for _, mod := range models {
+		d.AddChecker(mod)
+	}
+	if err := m.Run(d, nil); err != nil {
+		t.Fatalf("live run: %v", err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, mod := range models {
+		live[mod.Name()] = mod.Records()
+	}
+	live["ScoRD"] = d.Races()
+
+	tr, err := tracefile.NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, err := replay.ReadAll(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range replay.TargetNames() {
+		tgt, err := replay.TargetByName(name, tr.Header().Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := replay.RunOps(tr.Header(), ops, tgt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(res.Races, live[res.Detector]) {
+			t.Errorf("%s records differ:\nlive:   %v\nreplay: %v", res.Detector, live[res.Detector], res.Races)
+		}
+		if name != "ldetector" && len(res.Races) == 0 {
+			t.Errorf("%s found no race in %s", res.Detector, m.Name())
+		}
+		for _, rec := range res.Races {
+			if rec.Addr < pad {
+				t.Errorf("%s race at %#x, below the %#x pad", res.Detector, rec.Addr, pad)
+			}
 		}
 	}
 }

@@ -143,13 +143,23 @@ func (t checkerTarget) Records() []core.Record                    { return t.c.R
 // targetFactories maps -detector names to constructors. "scord" replays
 // the real detector under the trace's recorded configuration (or the
 // mode the caller overrode into cfg); the rest are the Table VIII
-// comparison models, which carry their own fixed configuration.
+// comparison models, which carry their own fixed detector configuration
+// but size their metadata by cfg's device arena.
 var targetFactories = map[string]func(cfg config.Config) (Target, error){
 	"scord":     func(cfg config.Config) (Target, error) { return NewScoRD(cfg) },
 	"ldetector": func(config.Config) (Target, error) { return NewChecker(detectors.NewLDetector()), nil },
-	"haccrg":    func(config.Config) (Target, error) { return NewChecker(detectors.NewHAccRG()), nil },
-	"barracuda": func(config.Config) (Target, error) { return NewChecker(detectors.NewBarracuda()), nil },
-	"curd":      func(config.Config) (Target, error) { return NewChecker(detectors.NewCURD()), nil },
+	"haccrg":    func(cfg config.Config) (Target, error) { return newModel(cfg, detectors.NewHAccRG) },
+	"barracuda": func(cfg config.Config) (Target, error) { return newModel(cfg, detectors.NewBarracuda) },
+	"curd":      func(cfg config.Config) (Target, error) { return newModel(cfg, detectors.NewCURD) },
+}
+
+// newModel builds a comparison model for cfg's device arena, sized as
+// NewScoRD sizes the real detector.
+func newModel(cfg config.Config, mk func(words int) core.Checker) (Target, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
+	}
+	return NewChecker(mk(cfg.DeviceMemBytes / mem.WordBytes)), nil
 }
 
 // TargetNames lists the valid TargetByName names, sorted.
@@ -164,7 +174,7 @@ func TargetNames() []string {
 
 // TargetByName builds a fresh detector target. cfg is the configuration
 // to build ScoRD under (normally the trace header's, possibly with the
-// detector mode overridden); the comparison models ignore it.
+// detector mode overridden).
 func TargetByName(name string, cfg config.Config) (Target, error) {
 	f, ok := targetFactories[name]
 	if !ok {
@@ -285,7 +295,7 @@ func newResult(h tracefile.Header, t Target) *Result {
 	return &Result{
 		Header:   h,
 		Detector: t.Name(),
-		Mem:      mem.New(uint64(h.Config.DeviceMemBytes)),
+		Mem:      mem.NewMap(uint64(h.Config.DeviceMemBytes)),
 	}
 }
 

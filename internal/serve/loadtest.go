@@ -85,7 +85,13 @@ type LoadTestReport struct {
 // graceful drain drops no accepted work.
 func LoadTest(s *Server, baseURL string, traceID string, opt LoadTestOpts) (*LoadTestReport, error) {
 	opt = opt.withDefaults()
-	client := &http.Client{Timeout: 2 * time.Minute}
+	// The transport is the run's own and is closed when the run ends.
+	// It may dial a connection that no request ends up using, and an
+	// http.Server counts such a connection as active for five seconds,
+	// which would stall the caller's graceful shutdown that long.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr, Timeout: 2 * time.Minute}
 
 	body, err := json.Marshal(replayRequest{Trace: traceID, Detector: opt.Detector, NoCache: opt.NoCache})
 	if err != nil {

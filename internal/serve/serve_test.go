@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"scord/internal/config"
+	"scord/internal/core"
 	"scord/internal/harness"
 	"scord/internal/replay"
 	"scord/internal/scor"
@@ -125,17 +126,33 @@ func TestUploadValidationAndDedup(t *testing.T) {
 		t.Errorf("re-upload: dup=%v id=%q, want dup=true id=%q", dup.Dup, dup.ID, id)
 	}
 
-	// Flip a payload byte: the CRC-validated decode must reject it.
+	// A flipped payload byte fails the CRC-validated decode; a
+	// well-formed store beyond the header's 2 MB arena fails its address
+	// check, before any replay could index detector metadata with it.
 	bad := bytes.Clone(raw)
 	bad[len(bad)/2] ^= 0xff
-	resp, err = http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(bad))
+	var stray bytes.Buffer
+	tw, err := tracefile.NewWriter(&stray, tracefile.NewHeader("stray", nil, config.Default()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("corrupt upload status = %d, want 400", resp.StatusCode)
+	tw.Alloc("data", 0, 4096)
+	tw.KernelStart("kern", 1, 32, 0)
+	tw.Access(core.Access{Kind: core.KindStore, Addr: 4 << 20}, core.AtomicOther, 4)
+	tw.KernelEnd("kern", 10)
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{"corrupt": bad, "out-of-arena": stray.Bytes()} {
+		resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s upload status = %d, want 400", name, resp.StatusCode)
+		}
 	}
 
 	// List shows exactly the one stored trace.

@@ -22,6 +22,7 @@ func FuzzReader(f *testing.F) {
 			f.Add(mut)
 		}
 	}
+	f.Add(storeAtTrace(f, 4<<20)) // a store beyond the 2 MB arena
 	f.Add([]byte("SCTR\x01"))
 	f.Add([]byte{})
 

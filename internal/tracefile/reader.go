@@ -20,14 +20,15 @@ import (
 var ErrCorrupt = errors.New("tracefile: corrupt trace")
 
 // Reader streams op records back out of a trace. It validates everything
-// it decodes — block CRCs, varint shapes, enum ranges, string-table
-// references, and the end block's op/kernel counts — and returns an error
-// rather than panicking on any malformed input. Next returns io.EOF only
-// after a well-formed end block; a stream that just stops yields
-// ErrCorrupt/io.ErrUnexpectedEOF.
+// it decodes — block CRCs, varint shapes, enum ranges, access addresses
+// against the header's device arena, string-table references, and the end
+// block's op/kernel counts — and returns an error rather than panicking on
+// any malformed input. Next returns io.EOF only after a well-formed end
+// block; a stream that just stops yields ErrCorrupt/io.ErrUnexpectedEOF.
 type Reader struct {
 	br     *bufio.Reader
 	header Header
+	arena  uint64 // header's DeviceMemBytes; every access lies below it
 
 	payload []byte // current ops-block payload (aliases scratch)
 	pos     int
@@ -75,6 +76,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if got := HashConfig(tr.header.Config); got != tr.header.ConfigHash {
 		return nil, corrupt("config hash mismatch: header says %#x, config hashes to %#x", tr.header.ConfigHash, got)
 	}
+	tr.arena = uint64(max(tr.header.Config.DeviceMemBytes, 0))
 	return tr, nil
 }
 
@@ -289,6 +291,11 @@ func (r *Reader) decodeAccess() (Op, error) {
 	}
 	addr := r.prevAddr + uint64(addrDelta)
 	r.prevAddr = addr
+	if addr >= r.arena {
+		// A live device cannot issue it (mem.WordIndex panics first), and
+		// replay sizes detector metadata by the arena.
+		return Op{}, corrupt("access address %#x outside the %d-byte device arena", addr, r.arena)
+	}
 	cycle, err := r.cycle()
 	if err != nil {
 		return Op{}, err

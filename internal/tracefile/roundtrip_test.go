@@ -71,6 +71,45 @@ func sampleTrace(t testing.TB, n int) ([]byte, []Op) {
 	return buf.Bytes(), want
 }
 
+// storeAtTrace encodes a one-kernel trace on the default 2 MB arena whose
+// only access is a store to addr.
+func storeAtTrace(t testing.TB, addr uint64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, NewHeader("stray", nil, config.Default()))
+	if err != nil {
+		t.Fatalf("NewWriter: %v", err)
+	}
+	w.Alloc("data", 0, 4096)
+	w.KernelStart("kern", 1, 32, 0)
+	w.Access(core.Access{Kind: core.KindStore, Addr: addr, Cycle: 5}, core.AtomicOther, 4)
+	w.KernelEnd("kern", 10)
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestOutOfArenaAccessRejected: an access at or beyond the header's
+// DeviceMemBytes cannot come from a live device, and replay would index
+// detector metadata past its end, so decoding rejects it.
+func TestOutOfArenaAccessRejected(t *testing.T) {
+	arena := uint64(config.Default().DeviceMemBytes)
+	readAllOps(t, storeAtTrace(t, arena-4))
+	for _, addr := range []uint64{arena, 2 * arena} {
+		r, err := NewReader(bytes.NewReader(storeAtTrace(t, addr)))
+		if err != nil {
+			t.Fatalf("NewReader: %v", err)
+		}
+		for err == nil {
+			_, err = r.Next()
+		}
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "outside the") {
+			t.Errorf("store at %#x in a %d-byte arena: error %v, want ErrCorrupt naming the arena", addr, arena, err)
+		}
+	}
+}
+
 func readAllOps(t *testing.T, raw []byte) (Header, []Op) {
 	t.Helper()
 	r, err := NewReader(bytes.NewReader(raw))
