@@ -11,21 +11,25 @@ import (
 // detector: the request packet of Figure 6, carrying the instruction type,
 // address, warp/block identity, current barrier ID, and the lock bloom
 // summary (computed here from the warp's lock table).
+//
+// The one-byte fields come first and together, so an Access packs into
+// 64 bytes; a field added between them re-pads it (TestAccessSize).
 type Access struct {
 	Kind    AccessKind
 	Scope   Scope // atomics only
 	Strong  bool  // volatile-qualified or atomic
-	Addr    uint64
-	Block   int // global block id
-	Warp    int // warp id within the block
 	Barrier uint8
-	Site    string // optional source-site label for reports
-	Cycle   uint64
 
-	// ITS extension (Section VI): the issuing lane, and whether the warp
-	// is currently diverged so lanes act as independent threads.
-	Lane     int
+	// ITS extension (Section VI): whether the warp is currently diverged
+	// so lanes act as independent threads, and the issuing lane.
 	Diverged bool
+	Lane     int
+
+	Addr  uint64
+	Block int    // global block id
+	Warp  int    // warp id within the block
+	Site  string // optional source-site label for reports
+	Cycle uint64
 }
 
 // AtomicOp distinguishes the RMW flavours the lock-inference logic cares

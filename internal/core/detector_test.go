@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"scord/internal/config"
 	"scord/internal/stats"
@@ -318,5 +319,16 @@ func TestAcquireReleaseExtension(t *testing.T) {
 	d.OnRelease(0, 0, 0x500, ScopeDevice)
 	if r := d.CheckAccess(acc(KindLoad, 0x100, 1, 0)); r.Raced {
 		t.Fatal("release did not order prior store")
+	}
+}
+
+// TestAccessSize pins Access's packed layout: a new field among the
+// one-byte ones would re-pad every replayed access and simulated lane.
+func TestAccessSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned on 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Access{}); got != 64 {
+		t.Errorf("unsafe.Sizeof(Access{}) = %d, want 64", got)
 	}
 }

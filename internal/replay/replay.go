@@ -275,20 +275,12 @@ func RunOpsPermuted(h tracefile.Header, ops []tracefile.Op, perm []int, t Target
 	return res, nil
 }
 
-// ReadAll decodes a whole trace into memory — the entry point for
-// perturbation, which needs the op sequence as a mutable slice.
+// ReadAll decodes the rest of a trace into one exactly sized slice — the
+// entry point for every whole-trace consumer (multi-target replay,
+// prediction, exploration, repair and the serve workers). It is
+// tracefile.Reader.ReadAll.
 func ReadAll(r *tracefile.Reader) ([]tracefile.Op, error) {
-	var ops []tracefile.Op
-	for {
-		op, err := r.Next()
-		if err == io.EOF {
-			return ops, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		ops = append(ops, op)
-	}
+	return r.ReadAll()
 }
 
 func newResult(h tracefile.Header, t Target) *Result {

@@ -172,6 +172,43 @@ func TestUploadValidationAndDedup(t *testing.T) {
 	}
 }
 
+// TestUploadRejectsHostileHeaders: a header whose configuration no device
+// could run with, or whose arena exceeds 1 GB, gets 400 at upload and is
+// not stored, rather than failing or costing gigabytes on every replay.
+func TestUploadRejectsHostileHeaders(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	noAssoc := config.Default()
+	noAssoc.L1Assoc = 0
+	huge := config.Default()
+	huge.DeviceMemBytes = 1 << 40
+	for name, cfg := range map[string]config.Config{"L1Assoc 0": noAssoc, "1 TB arena": huge} {
+		var buf bytes.Buffer
+		tw, err := tracefile.NewWriter(&buf, tracefile.NewHeader("hostile", nil, cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tw.Alloc("data", 0, 4096)
+		tw.KernelStart("kern", 1, 32, 0)
+		tw.Access(core.Access{Kind: core.KindStore, Addr: 64, Cycle: 5}, core.AtomicOther, 4)
+		tw.KernelEnd("kern", 10)
+		if err := tw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: upload status = %d (%s), want 400", name, resp.StatusCode, body)
+		}
+	}
+	if ids := s.Store().IDs(); len(ids) != 0 {
+		t.Errorf("store holds %v after rejected uploads, want nothing", ids)
+	}
+}
+
 // TestUploadTooLarge: uploads beyond MaxUploadBytes get 413.
 func TestUploadTooLarge(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxUploadBytes: 128})

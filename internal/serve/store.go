@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"scord/internal/analysis/predict"
 	"scord/internal/tracefile"
 )
 
@@ -55,11 +56,23 @@ func NewStore(maxBytes int64) *Store {
 
 // Validate decodes an entire trace stream, returning its header and op
 // counts, or the decoding error. It is the single admission gate for
-// uploaded bytes.
+// uploaded bytes: it also rejects a header whose configuration a device
+// could not run with, or whose arena exceeds the 1 GB bound predict
+// applies by default. Each metadata-backed model sizes its page directory
+// by the arena, so a header claiming 1 TB would cost 4 GB per model on
+// every replay.
 func Validate(r io.Reader) (h tracefile.Header, ops, accesses, kernels int, err error) {
 	tr, err := tracefile.NewReader(r)
 	if err != nil {
 		return tracefile.Header{}, 0, 0, 0, err
+	}
+	cfg := tr.Header().Config
+	if err := cfg.Validate(); err != nil {
+		return tracefile.Header{}, 0, 0, 0, err
+	}
+	if cfg.DeviceMemBytes > predict.DefaultMaxMemBytes {
+		return tracefile.Header{}, 0, 0, 0, fmt.Errorf("serve: header declares a %d-byte device arena, limit %d",
+			cfg.DeviceMemBytes, predict.DefaultMaxMemBytes)
 	}
 	for {
 		op, err := tr.Next()

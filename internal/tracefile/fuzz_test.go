@@ -1,14 +1,13 @@
 package tracefile
 
 import (
-	"bytes"
-	"io"
 	"testing"
 )
 
-// FuzzReader feeds arbitrary bytes through the trace reader. Any input —
-// truncated blocks, corrupt CRCs, bogus varints, hostile lengths — must
-// come back as an error, never a panic or runaway allocation.
+// FuzzReader feeds arbitrary bytes through the trace reader, as a Next
+// loop and as ReadAll. Any input — truncated blocks, corrupt CRCs, bogus
+// varints, hostile lengths — must come back as an error, never a panic or
+// runaway allocation, and both must give the same ops or the same error.
 func FuzzReader(f *testing.F) {
 	// Seed with structurally valid traces of a few sizes plus simple
 	// mutations, so the fuzzer starts past the magic/CRC gates.
@@ -27,21 +26,9 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		for ops := 0; ; ops++ {
-			_, err := r.Next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				return
-			}
-			if ops > 1<<22 {
-				t.Fatalf("reader produced over 4M ops from %d input bytes", len(data))
-			}
+		// decodeBoth fails unless a Next loop and ReadAll agree.
+		if _, ops, _ := decodeBoth(t, data); len(ops) > 1<<22 {
+			t.Fatalf("reader produced over 4M ops from %d input bytes", len(data))
 		}
 	})
 }

@@ -2,12 +2,14 @@ package tracefile
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"strings"
 
 	"scord/internal/core"
@@ -25,7 +27,10 @@ var ErrCorrupt = errors.New("tracefile: corrupt trace")
 // block's op/kernel counts — and returns an error rather than panicking on
 // any malformed input. Next returns io.EOF only after a well-formed end
 // block; a stream that just stops yields ErrCorrupt/io.ErrUnexpectedEOF.
+// ReadAll decodes the rest of the stream in one call, through the same
+// checks.
 type Reader struct {
+	src    io.Reader // the stream NewReader was given
 	br     *bufio.Reader
 	header Header
 	arena  uint64 // header's DeviceMemBytes; every access lies below it
@@ -49,7 +54,7 @@ type Reader struct {
 // hash is verified against its config, so a trace whose configuration was
 // tampered with (or mis-stitched from another run) is rejected up front.
 func NewReader(r io.Reader) (*Reader, error) {
-	tr := &Reader{br: bufio.NewReader(r)}
+	tr := &Reader{src: r, br: bufio.NewReader(r)}
 	var pre [5]byte
 	if _, err := io.ReadFull(tr.br, pre[:]); err != nil {
 		return nil, corrupt("reading preamble: %v", err)
@@ -86,31 +91,137 @@ func (r *Reader) Header() Header { return r.header }
 // Next decodes the next op record. It returns io.EOF after the end block
 // has been seen and verified.
 func (r *Reader) Next() (Op, error) {
+	var op Op
+	if err := r.more(); err != nil {
+		return Op{}, err
+	}
+	if err := r.decodeNext(&op); err != nil {
+		return Op{}, err
+	}
+	return op, nil
+}
+
+// ReadAll decodes every remaining op record into one slice, allocated
+// once: it reads the rest of the encoded stream into memory (about a
+// sixteenth of the decoded size), sizes the slice by the op count the end
+// block declares, and decodes each record in place through the same
+// checks Next applies, so it returns exactly the ops or the error a Next
+// loop would. A count larger than the remaining bytes could hold is
+// ignored and the slice grows as it decodes. After a valid trace
+// cap(ops) == len(ops); an empty remainder decodes to nil.
+func (r *Reader) ReadAll() ([]Op, error) {
+	if r.err != nil || r.done {
+		return nil, r.err
+	}
+	rest, err := r.readRest()
+	src := io.Reader(bytes.NewReader(rest))
+	if err != nil {
+		// Decode what arrived; the read error surfaces where a Next
+		// loop would have met it.
+		src = io.MultiReader(src, errReader{err})
+	}
+	r.br.Reset(src)
+	var ops []Op
+	if n := r.remainingOps(rest); n > 0 {
+		ops = make([]Op, 0, n)
+	}
+	for {
+		if err := r.more(); err == io.EOF {
+			return ops, nil
+		} else if err != nil {
+			return nil, err
+		}
+		// Every slot past len(ops) is still zero, as decodeNext needs.
+		ops = slices.Grow(ops, 1)[:len(ops)+1]
+		if err := r.decodeNext(&ops[len(ops)-1]); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// readRest reads the unread stream, in one allocation when the source
+// can tell how much of it is left.
+func (r *Reader) readRest() ([]byte, error) {
+	size := r.br.Buffered()
+	if l, ok := r.src.(interface{ Len() int }); ok { // bytes.Reader, bytes.Buffer, strings.Reader
+		size += l.Len()
+	}
+	// The extra byte leaves room for the read that reports EOF.
+	b := make([]byte, 0, size+1)
+	for {
+		n, err := r.br.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
+}
+
+// remainingOps walks the block frames in rest to the end block and returns
+// how many ops it declares beyond those already decoded. It returns 0 when
+// the frames break off before an end block, or when the count exceeds what
+// the unread bytes could hold at minRecordLen bytes per op.
+func (r *Reader) remainingOps(rest []byte) int {
+	unread := len(rest) + len(r.payload) - r.pos
+	for b := rest; len(b) > 0; {
+		n, k := binary.Uvarint(b[1:])
+		if k <= 0 || n > maxBlockLen || n+4 > uint64(len(b)-1-k) {
+			return 0
+		}
+		payload := b[1+k : 1+k+int(n)]
+		if b[0] == blockEnd {
+			want, _ := binary.Uvarint(payload)
+			if want < r.ops || want-r.ops > uint64(unread/minRecordLen) {
+				return 0
+			}
+			return int(want - r.ops)
+		}
+		b = b[1+k+int(n)+4:]
+	}
+	return 0
+}
+
+// errReader returns err on every read.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// more loads ops blocks until a record is ready to decode. It returns
+// io.EOF once the end block has been seen and verified.
+func (r *Reader) more() error {
 	if r.err != nil {
-		return Op{}, r.err
+		return r.err
 	}
-	if r.done {
-		return Op{}, io.EOF
-	}
-	for r.pos >= len(r.payload) {
+	for !r.done && r.pos >= len(r.payload) {
 		if err := r.nextBlock(); err != nil {
 			r.err = err
-			return Op{}, err
-		}
-		if r.done {
-			return Op{}, io.EOF
+			return err
 		}
 	}
-	op, err := r.decodeOp()
-	if err != nil {
+	if r.done {
+		return io.EOF
+	}
+	return nil
+}
+
+// decodeNext decodes the record more found into op, which must be zero,
+// and counts it.
+func (r *Reader) decodeNext(op *Op) error {
+	if err := r.decodeOp(op); err != nil {
 		r.err = err
-		return Op{}, err
+		return err
 	}
 	r.ops++
 	if op.Kind == OpKernel {
 		r.kernels++
 	}
-	return op, nil
+	return nil
 }
 
 // nextBlock loads the next ops block, or verifies the end block and marks
@@ -197,190 +308,153 @@ func (r *Reader) readBlock() (byte, []byte, error) {
 	return kind, payload, nil
 }
 
-// decodeOp decodes one record from the current payload.
-func (r *Reader) decodeOp() (Op, error) {
+// decodeOp decodes one record from the current payload into op, which
+// must be zero: only the fields the record's kind uses are written.
+func (r *Reader) decodeOp(op *Op) error {
 	kind, err := r.byte("op kind")
 	if err != nil {
-		return Op{}, err
+		return err
 	}
 	switch kind {
 	case opAccess:
-		return r.decodeAccess()
+		return r.decodeAccess(op)
 	case opFence:
-		return r.decodeFence()
+		return r.decodeFence(op)
 	case opBarrier:
-		return r.decodeBarrier()
+		return r.decodeBarrier(op)
 	case opKernel:
-		name, err := r.string("kernel name")
-		if err != nil {
-			return Op{}, err
+		op.Kind = OpKernel
+		if op.Name, err = r.string("kernel name"); err != nil {
+			return err
 		}
-		blocks, err := r.intField("kernel blocks")
-		if err != nil {
-			return Op{}, err
+		if op.Blocks, err = r.intField("kernel blocks"); err != nil {
+			return err
 		}
-		threads, err := r.intField("kernel threads")
-		if err != nil {
-			return Op{}, err
+		if op.Threads, err = r.intField("kernel threads"); err != nil {
+			return err
 		}
-		cycle, err := r.cycle()
-		if err != nil {
-			return Op{}, err
-		}
-		return Op{Kind: OpKernel, Name: name, Blocks: blocks, Threads: threads, Cycle: cycle}, nil
+		op.Cycle, err = r.cycle()
+		return err
 	case opKernelEnd:
-		name, err := r.string("kernel name")
-		if err != nil {
-			return Op{}, err
+		op.Kind = OpKernelEnd
+		if op.Name, err = r.string("kernel name"); err != nil {
+			return err
 		}
-		cycle, err := r.cycle()
-		if err != nil {
-			return Op{}, err
-		}
-		return Op{Kind: OpKernelEnd, Name: name, Cycle: cycle}, nil
+		op.Cycle, err = r.cycle()
+		return err
 	case opAlloc:
-		name, err := r.string("alloc name")
-		if err != nil {
-			return Op{}, err
+		op.Kind = OpAlloc
+		if op.Name, err = r.string("alloc name"); err != nil {
+			return err
 		}
-		base, err := r.uvarint("alloc base")
-		if err != nil {
-			return Op{}, err
+		if op.Base, err = r.uvarint("alloc base"); err != nil {
+			return err
 		}
-		size, err := r.uvarint("alloc size")
-		if err != nil {
-			return Op{}, err
-		}
-		return Op{Kind: OpAlloc, Name: name, Base: base, Bytes: size}, nil
+		op.Bytes, err = r.uvarint("alloc size")
+		return err
 	default:
-		return Op{}, corrupt("unknown op kind %#x at payload offset %d", kind, r.pos-1)
+		return corrupt("unknown op kind %#x at payload offset %d", kind, r.pos-1)
 	}
 }
 
-func (r *Reader) decodeAccess() (Op, error) {
+func (r *Reader) decodeAccess(op *Op) error {
 	flags, err := r.byte("access flags")
 	if err != nil {
-		return Op{}, err
+		return err
 	}
 	if flags&accKindMask > uint8(core.KindAtomic) {
-		return Op{}, corrupt("access kind %d out of range", flags&accKindMask)
+		return corrupt("access kind %d out of range", flags&accKindMask)
 	}
 	aop := uint64(flags >> accAopShift)
 	if aop > maxAtomicOp {
-		return Op{}, corrupt("atomic op %d out of range", aop)
+		return corrupt("atomic op %d out of range", aop)
 	}
-	block, err := r.intField("access block")
-	if err != nil {
-		return Op{}, err
+	op.Kind = OpAccess
+	op.AtomicOp = core.AtomicOp(aop)
+	a := &op.Access
+	a.Kind = core.AccessKind(flags & accKindMask)
+	if flags&accScopeDev != 0 {
+		a.Scope = core.ScopeDevice
 	}
-	warp, err := r.intField("access warp")
-	if err != nil {
-		return Op{}, err
+	a.Strong = flags&accStrong != 0
+	a.Diverged = flags&accDiverged != 0
+	if a.Block, err = r.intField("access block"); err != nil {
+		return err
 	}
-	barrier, err := r.byte("access barrier")
-	if err != nil {
-		return Op{}, err
+	if a.Warp, err = r.intField("access warp"); err != nil {
+		return err
 	}
-	lane, err := r.intField("access lane")
-	if err != nil {
-		return Op{}, err
+	if a.Barrier, err = r.byte("access barrier"); err != nil {
+		return err
+	}
+	if a.Lane, err = r.intField("access lane"); err != nil {
+		return err
 	}
 	addrDelta, err := r.svarint("access addr delta")
 	if err != nil {
-		return Op{}, err
+		return err
 	}
-	addr := r.prevAddr + uint64(addrDelta)
-	r.prevAddr = addr
-	if addr >= r.arena {
+	a.Addr = r.prevAddr + uint64(addrDelta)
+	r.prevAddr = a.Addr
+	if a.Addr >= r.arena {
 		// A live device cannot issue it (mem.WordIndex panics first), and
 		// replay sizes detector metadata by the arena.
-		return Op{}, corrupt("access address %#x outside the %d-byte device arena", addr, r.arena)
+		return corrupt("access address %#x outside the %d-byte device arena", a.Addr, r.arena)
 	}
-	cycle, err := r.cycle()
-	if err != nil {
-		return Op{}, err
+	if a.Cycle, err = r.cycle(); err != nil {
+		return err
 	}
-	site, err := r.string("access site")
-	if err != nil {
-		return Op{}, err
+	if a.Site, err = r.string("access site"); err != nil {
+		return err
 	}
 	size, err := r.uvarint("access size")
 	if err != nil {
-		return Op{}, err
+		return err
 	}
 	if size > 1<<16 {
-		return Op{}, corrupt("access size %d out of range", size)
+		return corrupt("access size %d out of range", size)
 	}
-	scope := core.ScopeBlock
-	if flags&accScopeDev != 0 {
-		scope = core.ScopeDevice
-	}
-	return Op{
-		Kind: OpAccess,
-		Access: core.Access{
-			Kind:     core.AccessKind(flags & accKindMask),
-			Scope:    scope,
-			Strong:   flags&accStrong != 0,
-			Addr:     addr,
-			Block:    block,
-			Warp:     warp,
-			Barrier:  barrier,
-			Site:     site,
-			Cycle:    cycle,
-			Lane:     lane,
-			Diverged: flags&accDiverged != 0,
-		},
-		AtomicOp: core.AtomicOp(aop),
-		Size:     uint32(size),
-	}, nil
+	op.Size = uint32(size)
+	return nil
 }
 
-func (r *Reader) decodeFence() (Op, error) {
+func (r *Reader) decodeFence(op *Op) error {
 	flags, err := r.byte("fence flags")
 	if err != nil {
-		return Op{}, err
+		return err
 	}
 	if flags&^(fenceScopeDev|fenceFromBarrier) != 0 {
-		return Op{}, corrupt("fence flags %#x have unknown bits", flags)
+		return corrupt("fence flags %#x have unknown bits", flags)
 	}
-	block, err := r.intField("fence block")
-	if err != nil {
-		return Op{}, err
-	}
-	warp, err := r.intField("fence warp")
-	if err != nil {
-		return Op{}, err
-	}
-	cycle, err := r.cycle()
-	if err != nil {
-		return Op{}, err
-	}
-	scope := core.ScopeBlock
+	op.Kind = OpFence
 	if flags&fenceScopeDev != 0 {
-		scope = core.ScopeDevice
+		op.Scope = core.ScopeDevice
 	}
-	return Op{Kind: OpFence, Block: block, Warp: warp, Scope: scope,
-		FromBarrier: flags&fenceFromBarrier != 0, Cycle: cycle}, nil
+	op.FromBarrier = flags&fenceFromBarrier != 0
+	if op.Block, err = r.intField("fence block"); err != nil {
+		return err
+	}
+	if op.Warp, err = r.intField("fence warp"); err != nil {
+		return err
+	}
+	op.Cycle, err = r.cycle()
+	return err
 }
 
-func (r *Reader) decodeBarrier() (Op, error) {
-	block, err := r.intField("barrier block")
-	if err != nil {
-		return Op{}, err
+func (r *Reader) decodeBarrier(op *Op) error {
+	var err error
+	op.Kind = OpBarrier
+	if op.Block, err = r.intField("barrier block"); err != nil {
+		return err
 	}
-	id, err := r.byte("barrier id")
-	if err != nil {
-		return Op{}, err
+	if op.BarrierID, err = r.byte("barrier id"); err != nil {
+		return err
 	}
-	warps, err := r.intField("barrier warps")
-	if err != nil {
-		return Op{}, err
+	if op.Warps, err = r.intField("barrier warps"); err != nil {
+		return err
 	}
-	cycle, err := r.cycle()
-	if err != nil {
-		return Op{}, err
-	}
-	return Op{Kind: OpBarrier, Block: block, BarrierID: id, Warps: warps, Cycle: cycle}, nil
+	op.Cycle, err = r.cycle()
+	return err
 }
 
 // --- low-level field decoders, all bounds-checked ---

@@ -2,11 +2,17 @@ package tracefile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
+	"unsafe"
 
 	"scord/internal/config"
 	"scord/internal/core"
@@ -112,23 +118,64 @@ func TestOutOfArenaAccessRejected(t *testing.T) {
 
 func readAllOps(t *testing.T, raw []byte) (Header, []Op) {
 	t.Helper()
+	h, ops, err := decodeBoth(t, raw)
+	if err != nil {
+		t.Fatalf("decoding after %d ops: %v", len(ops), err)
+	}
+	return h, ops
+}
+
+// decodeBoth decodes raw twice, with a Next loop and with ReadAll, each on
+// its own Reader, and fails the test unless both give the same ops or the
+// same error: the same text and the same ErrCorrupt and
+// io.ErrUnexpectedEOF classes. A successful ReadAll must return an exactly
+// sized slice. decodeBoth returns the Next loop's header and result.
+func decodeBoth(t testing.TB, raw []byte) (Header, []Op, error) {
+	t.Helper()
 	r, err := NewReader(bytes.NewReader(raw))
 	if err != nil {
-		t.Fatalf("NewReader: %v", err)
+		return Header{}, nil, err
 	}
 	var ops []Op
 	for {
-		op, err := r.Next()
-		if err == io.EOF {
-			return r.Header(), ops
-		}
-		if err != nil {
-			t.Fatalf("Next after %d ops: %v", len(ops), err)
+		var op Op
+		if op, err = r.Next(); err != nil {
+			break
 		}
 		ops = append(ops, op)
 	}
+	if err == io.EOF {
+		err = nil
+	}
+	r2, err2 := NewReader(bytes.NewReader(raw))
+	if err2 != nil {
+		t.Fatalf("second NewReader on the same bytes: %v", err2)
+	}
+	all, allErr := r2.ReadAll()
+	switch {
+	case err != nil || allErr != nil:
+		if !sameError(err, allErr) {
+			t.Fatalf("Next loop fails with %v, ReadAll with %v", err, allErr)
+		}
+	case !reflect.DeepEqual(all, ops):
+		t.Fatalf("ReadAll decoded %d ops, the Next loop %d, and they differ", len(all), len(ops))
+	case cap(all) != len(all):
+		t.Fatalf("ReadAll returned %d ops in a slice of capacity %d, want an exact allocation", len(all), cap(all))
+	}
+	return r.Header(), ops, err
 }
 
+func sameError(a, b error) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Error() == b.Error() &&
+		errors.Is(a, ErrCorrupt) == errors.Is(b, ErrCorrupt) &&
+		errors.Is(a, io.ErrUnexpectedEOF) == errors.Is(b, io.ErrUnexpectedEOF)
+}
+
+// TestRoundTrip decodes each sample with a Next loop and with ReadAll
+// (readAllOps) and compares both with the ops written.
 func TestRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 100, 20000} { // 20000 forces several ops blocks
 		raw, want := sampleTrace(t, n)
@@ -159,53 +206,193 @@ func TestWriterDeterministic(t *testing.T) {
 }
 
 // TestTruncationAlwaysErrors cuts the trace at every length and asserts
-// the reader reports an error (never a silent success, never a panic).
+// the reader reports an error (never a silent success, never a panic),
+// the same one from a Next loop and from ReadAll.
 func TestTruncationAlwaysErrors(t *testing.T) {
 	raw, _ := sampleTrace(t, 50)
 	for cut := 0; cut < len(raw); cut++ {
-		r, err := NewReader(bytes.NewReader(raw[:cut]))
-		if err != nil {
-			continue // preamble/header already broken: fine
-		}
-		var lastErr error
-		for {
-			_, lastErr = r.Next()
-			if lastErr != nil {
-				break
-			}
-		}
-		if lastErr == io.EOF {
+		_, _, err := decodeBoth(t, raw[:cut])
+		if err == nil {
 			t.Fatalf("truncation at %d/%d bytes read back as a complete trace", cut, len(raw))
 		}
-		if !errors.Is(lastErr, ErrCorrupt) {
-			t.Fatalf("truncation at %d: error %v does not wrap ErrCorrupt", cut, lastErr)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("truncation at %d: error %v does not wrap ErrCorrupt", cut, err)
 		}
 	}
 }
 
 // TestCorruptionAlwaysErrors flips one byte at a time through the whole
 // file; every flip must surface as an error by EOF (the CRC guarantees
-// it), and none may panic.
+// it), the same one from a Next loop and from ReadAll, and none may
+// panic.
 func TestCorruptionAlwaysErrors(t *testing.T) {
 	raw, _ := sampleTrace(t, 50)
 	for pos := 0; pos < len(raw); pos++ {
 		mut := make([]byte, len(raw))
 		copy(mut, raw)
 		mut[pos] ^= 0x41
-		r, err := NewReader(bytes.NewReader(mut))
-		if err != nil {
-			continue
-		}
-		var lastErr error
-		for {
-			_, lastErr = r.Next()
-			if lastErr != nil {
-				break
-			}
-		}
-		if lastErr == io.EOF {
+		if _, _, err := decodeBoth(t, mut); err == nil {
 			t.Fatalf("flipping byte %d went undetected", pos)
 		}
+	}
+}
+
+// TestHugeDeclaredOpCount: an end block with a valid CRC that declares
+// 1<<40 ops fails the count check as it always has, and ReadAll does not
+// size its slice by a count the bytes could not hold.
+func TestHugeDeclaredOpCount(t *testing.T) {
+	raw, want := sampleTrace(t, 50)
+	end := func(ops uint64) []byte {
+		var buf bytes.Buffer
+		payload := binary.AppendUvarint(nil, ops)
+		payload = binary.AppendUvarint(payload, 1) // one kernel
+		if err := (&Writer{w: &buf}).writeBlock(blockEnd, payload); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	honest := end(uint64(len(want)))
+	if !bytes.HasSuffix(raw, honest) {
+		t.Fatal("sample trace does not end with the end block it declares")
+	}
+	bad := append(bytes.Clone(raw[:len(raw)-len(honest)]), end(1<<40)...)
+	if _, _, err := decodeBoth(t, bad); err == nil ||
+		!strings.Contains(err.Error(), "end block declares 1099511627776 ops") {
+		t.Fatalf("error %v, want the end block's op count rejected", err)
+	}
+
+	r, err := NewReader(bytes.NewReader(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r.ReadAll()
+	runtime.ReadMemStats(&after)
+	// Three times the ops the bytes could hold at one byte each, far
+	// below what the declared count would take.
+	limit := uint64(len(bad)) * uint64(unsafe.Sizeof(Op{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("ReadAll allocated %d bytes for a %d-byte trace, want at most %d", got, len(bad), limit)
+	}
+}
+
+// TestReadAllAfterNext: ReadAll picks up where Next left off, in the
+// middle of an ops block, and still sizes its slice exactly.
+func TestReadAllAfterNext(t *testing.T) {
+	raw, want := sampleTrace(t, 20000)
+	r, err := NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const skip = 1000
+	for i := 0; i < skip; i++ {
+		if _, err := r.Next(); err != nil {
+			t.Fatalf("Next %d: %v", i, err)
+		}
+	}
+	rest, err := r.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rest, want[skip:]) || cap(rest) != len(rest) {
+		t.Fatalf("ReadAll after %d Next calls: %d ops (cap %d), want the remaining %d",
+			skip, len(rest), cap(rest), len(want)-skip)
+	}
+	if more, err := r.ReadAll(); more != nil || err != nil {
+		t.Fatalf("ReadAll at the end: %d ops, %v; want nil, nil", len(more), err)
+	}
+	if _, err := r.Next(); err != io.EOF {
+		t.Fatalf("Next after ReadAll: %v, want io.EOF", err)
+	}
+}
+
+// TestReadAllSources: ReadAll sizes its op slice exactly from a source
+// that cannot tell its length, such as a file, as from memory, and a
+// source that fails mid-stream fails it with the error a Next loop meets
+// at the same point.
+func TestReadAllSources(t *testing.T) {
+	raw, want := sampleTrace(t, 20000)
+	path := filepath.Join(t.TempDir(), "sample.sctr")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r, err := NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := r.ReadAll(); err != nil || !reflect.DeepEqual(got, want) || cap(got) != len(got) {
+		t.Fatalf("ReadAll from a file: %d ops (cap %d), %v; want %d ops exactly", len(got), cap(got), err, len(want))
+	}
+
+	boom := errors.New("device gone")
+	failing := func() *Reader {
+		r, err := NewReader(io.MultiReader(bytes.NewReader(raw[:len(raw)/2]), iotest.ErrReader(boom)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	r = failing()
+	for err == nil {
+		_, err = r.Next()
+	}
+	if _, allErr := failing().ReadAll(); err == io.EOF || !sameError(err, allErr) {
+		t.Fatalf("Next loop fails with %v, ReadAll with %v; want the same read error", err, allErr)
+	}
+}
+
+// TestLongStringsRoundTrip: a string longer than maxStringLen is stored
+// as its first maxStringLen bytes, inlined once and back-referenced on
+// every later use.
+func TestLongStringsRoundTrip(t *testing.T) {
+	site := strings.Repeat("s", 5000)
+	name := strings.Repeat("k", 5000)
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, NewHeader("long", nil, config.Default()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Op
+	for k := uint64(0); k < 3; k++ {
+		w.KernelStart(name, 1, 32, 100*k)
+		want = append(want, Op{Kind: OpKernel, Name: name[:maxStringLen], Blocks: 1, Threads: 32, Cycle: 100 * k})
+		for i := uint64(0); i < 3; i++ {
+			a := core.Access{Kind: core.KindLoad, Addr: 4 * i, Site: site, Cycle: 100*k + i}
+			w.Access(a, core.AtomicOther, 4)
+			a.Site = site[:maxStringLen]
+			want = append(want, Op{Kind: OpAccess, Access: a, Size: 4})
+		}
+		w.KernelEnd(name, 100*k+50)
+		want = append(want, Op{Kind: OpKernelEnd, Name: name[:maxStringLen], Cycle: 100*k + 50})
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	if _, got := readAllOps(t, raw); !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %d ops that differ from the %d written", len(got), len(want))
+	}
+	for _, s := range []string{site, name} {
+		if n := bytes.Count(raw, []byte(s[:maxStringLen])); n != 1 {
+			t.Errorf("%q... inlined %d times, want once", s[:8], n)
+		}
+	}
+}
+
+// TestOpSize pins the packed layout of the unit of every whole-trace
+// slice: a new field among the narrow ones would re-pad it.
+func TestOpSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned on 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Op{}); got != 160 {
+		t.Errorf("unsafe.Sizeof(Op{}) = %d, want 160", got)
 	}
 }
 

@@ -59,6 +59,9 @@ const (
 	maxStringLen = 1 << 12
 	// flushLen is the ops-block payload size the Writer flushes at.
 	flushLen = 1 << 15
+	// minRecordLen is the shortest op record: a kernel end with an empty
+	// name and a one-byte cycle delta.
+	minRecordLen = 3
 )
 
 // Op record kinds, as stored in the stream.
@@ -158,22 +161,19 @@ func (k OpKind) String() string {
 
 // Op is one decoded trace record. Which fields are meaningful depends on
 // Kind; the rest are zero.
+//
+// The narrow fields of every group sit together at the end, so an Op
+// packs into 160 bytes, the unit of every whole-trace slice; a field
+// added among them re-pads it (TestOpSize).
 type Op struct {
 	Kind OpKind
 
-	// OpAccess: the access exactly as presented to the detector, the
-	// atomic flavour (lock-inference relevant), and the access width in
-	// bytes.
-	Access   core.Access
-	AtomicOp core.AtomicOp
-	Size     uint32
+	// OpAccess: the access exactly as presented to the detector.
+	Access core.Access
 
-	// OpFence, OpBarrier: issuer identity and cycle. Scope and
-	// FromBarrier apply to fences; BarrierID and Warps to barriers.
+	// OpFence, OpBarrier: issuer identity and cycle; Warps applies to
+	// barriers.
 	Block, Warp int
-	Scope       core.Scope
-	FromBarrier bool
-	BarrierID   uint8
 	Warps       int
 	Cycle       uint64
 
@@ -181,6 +181,15 @@ type Op struct {
 	Name            string
 	Blocks, Threads int
 	Base, Bytes     uint64
+
+	// OpAccess: the atomic flavour (lock-inference relevant). OpFence:
+	// Scope and FromBarrier. OpBarrier: BarrierID. OpAccess: the access
+	// width in bytes.
+	AtomicOp    core.AtomicOp
+	Scope       core.Scope
+	FromBarrier bool
+	BarrierID   uint8
+	Size        uint32
 }
 
 // String renders a compact single-line description (scord-replay dump).

@@ -228,7 +228,9 @@ func (w *Writer) putCycle(cycle uint64) {
 
 // putString appends a string reference, interning new strings into the
 // shared table. 0 is the empty string; 1..len(table) are back-references;
-// len(table)+1 introduces the next table entry inline.
+// len(table)+1 introduces the next table entry inline. A string longer
+// than maxStringLen is stored as its prefix but interned under its full
+// value, so every later use finds it.
 func (w *Writer) putString(s string) {
 	if s == "" {
 		w.buf = append(w.buf, 0)
@@ -238,11 +240,11 @@ func (w *Writer) putString(s string) {
 		w.buf = binary.AppendUvarint(w.buf, idx)
 		return
 	}
+	idx := uint64(len(w.strs) + 1)
+	w.strs[s] = idx
 	if len(s) > maxStringLen {
 		s = s[:maxStringLen]
 	}
-	idx := uint64(len(w.strs) + 1)
-	w.strs[s] = idx
 	w.buf = binary.AppendUvarint(w.buf, idx)
 	w.buf = binary.AppendUvarint(w.buf, uint64(len(s)))
 	w.buf = append(w.buf, s...)
