@@ -336,43 +336,45 @@ func locateRaces(res *replay.Result) []tupleHit {
 }
 
 // addFindings registers the new tuples of one DFS schedule, building the
-// schedule's op sequence lazily for witness derivation.
+// schedule's op sequence only when it exposes one.
 func addFindings(v *Verdict, h tracefile.Header, ops []tracefile.Op, found map[predict.Tuple]bool, idx int, out schedOut, seeded bool) {
-	var sops []tracefile.Op
 	for _, hit := range out.hits {
-		t := predict.Tuple{Alloc: hit.alloc, Kind: hit.rec.Kind}
-		if found[t] {
+		if found[predict.Tuple{Alloc: hit.alloc, Kind: hit.rec.Kind}] {
 			continue
 		}
-		if sops == nil {
-			sops = make([]tracefile.Op, len(out.perm))
-			for i, p := range out.perm {
-				sops[i] = ops[p]
-			}
+		sops := make([]tracefile.Op, len(out.perm))
+		for i, p := range out.perm {
+			sops[i] = ops[p]
 		}
-		found[t] = true
-		v.Races = append(v.Races, newFinding(h, sops, hit, idx, seeded))
+		addFindingsOps(v, h, sops, found, idx, out.hits, seeded)
+		return
 	}
 }
 
 // addFindingsOps is addFindings for schedules already materialized as ops.
+// The schedule is analysed at most once, however many tuples it exposes.
 func addFindingsOps(v *Verdict, h tracefile.Header, sops []tracefile.Op, found map[predict.Tuple]bool, idx int, hits []tupleHit, seeded bool) {
+	var pres *predict.Result
+	var perr error
 	for _, hit := range hits {
 		t := predict.Tuple{Alloc: hit.alloc, Kind: hit.rec.Kind}
 		if found[t] {
 			continue
 		}
 		found[t] = true
-		v.Races = append(v.Races, newFinding(h, sops, hit, idx, seeded))
+		if pres == nil && perr == nil {
+			pres, perr = predict.Run(h, sops, predict.Options{})
+		}
+		v.Races = append(v.Races, newFinding(h, sops, pres, perr, hit, idx, seeded))
 	}
 }
 
 // newFinding derives and checks the predictive witness for one tuple on
-// the schedule that exposed it: the schedule is re-analysed by the
-// predictive analysis and the matching prediction's witness is verified
-// from scratch by predict.CheckWitness — independent, machine-checkable
-// evidence that the race is real on that schedule.
-func newFinding(h tracefile.Header, sops []tracefile.Op, hit tupleHit, idx int, seeded bool) Finding {
+// the schedule that exposed it: pres, the predictive analysis of that
+// schedule (or its error perr), must hold a matching prediction, whose
+// witness is verified from scratch by predict.CheckWitness — independent,
+// machine-checkable evidence that the race is real on that schedule.
+func newFinding(h tracefile.Header, sops []tracefile.Op, pres *predict.Result, perr error, hit tupleHit, idx int, seeded bool) Finding {
 	f := Finding{
 		Alloc:    hit.alloc,
 		Kind:     hit.rec.Kind,
@@ -381,9 +383,8 @@ func newFinding(h tracefile.Header, sops []tracefile.Op, hit tupleHit, idx int, 
 		Observed: idx == 0 && !seeded,
 		Seeded:   seeded,
 	}
-	pres, err := predict.Run(h, sops, predict.Options{})
-	if err != nil {
-		f.WitnessErr = fmt.Sprintf("predict: %v", err)
+	if perr != nil {
+		f.WitnessErr = fmt.Sprintf("predict: %v", perr)
 		return f
 	}
 	for _, p := range pres.Predictions {

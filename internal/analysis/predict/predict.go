@@ -45,6 +45,7 @@ package predict
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"scord/internal/core"
@@ -125,33 +126,19 @@ func sameThread(a, b thread) bool {
 
 // frame is the scoped epoch of one thread's last read or last write of a
 // word: everything the pair check needs to decide whether a later access
-// is ordered after it.
+// is ordered after it. The thread is its slot's; the fields are ordered
+// to pack into 24 bytes.
 type frame struct {
-	used bool
-	op   int // trace op index
-	t    thread
+	op    int    // trace op index
+	phase uint64 // owning block's barrier phase at the access
 
-	kind   core.AccessKind
-	scope  core.Scope // atomics only
-	strong bool
-	site   string
-	cycle  uint64
-
-	phase    uint64     // owning block's barrier phase at the access
+	bloom    core.Bloom // active-lock summary the access carried
+	kind     core.AccessKind
+	scope    core.Scope // atomics only
 	blkFence uint8      // fence-file IDs of the thread's warp at the access
 	devFence uint8      //
-	bloom    core.Bloom // active-lock summary the access carried
+	used     bool
 	diverged bool
-}
-
-// wordState is the per-word analysis state: one read and one write frame
-// per thread, plus the sticky strong flag that mirrors the metadata
-// entry's Strong bit (weak accesses poison fence-based ordering for the
-// whole word until the next kernel, Table IV (c)).
-type wordState struct {
-	frames      []frameSlot
-	allStrong   bool
-	initialized bool
 }
 
 type frameSlot struct {
@@ -159,15 +146,37 @@ type frameSlot struct {
 	read, write frame
 }
 
-func (ws *wordState) slot(t thread) *frameSlot {
-	for i := range ws.frames {
-		if ws.frames[i].t == t {
-			return &ws.frames[i]
-		}
-	}
-	ws.frames = append(ws.frames, frameSlot{t: t})
-	return &ws.frames[len(ws.frames)-1]
+// wordState is the per-word analysis state: one read and one write frame
+// per thread that touched the word in this kernel, plus the sticky strong
+// flag that mirrors the metadata entry's Strong bit (weak accesses poison
+// fence-based ordering for the whole word until the next kernel, Table IV
+// (c)). The first thread's slot is inline; later threads follow in
+// first-touch order, which is the order pair checks visit them.
+type wordState struct {
+	first     frameSlot
+	more      []frameSlot // capacity survives the kernel reset
+	allStrong bool
 }
+
+// Dense per-kernel state. A word's state is found through a paged index
+// over the arena: 4 KB pages of int32 slots holding a state number plus
+// one (0: untouched this kernel), made on first touch. States live in
+// fixed-size chunks, so growing never copies them and a kernel reset
+// reuses them, with every per-word slice's capacity. A reset costs the
+// pages and states the kernel touched, not the arena.
+const (
+	idxShift   = 10
+	idxLen     = 1 << idxShift
+	idxMask    = idxLen - 1
+	chunkShift = 8
+	chunkLen   = 1 << chunkShift
+	chunkMask  = chunkLen - 1
+)
+
+type (
+	idxPage   [idxLen]int32
+	wordChunk [chunkLen]wordState
+)
 
 // analysis is the streaming state of one run.
 type analysis struct {
@@ -179,8 +188,13 @@ type analysis struct {
 
 	ff     core.FenceFile
 	locks  []core.LockTable
-	phases map[int]uint64 // block -> barrier phase
-	words  map[uint64]*wordState
+	phases []uint64 // block -> barrier phase
+
+	dir     []*idxPage // word>>idxShift -> page; nil: untouched this kernel
+	touched []int      // pages made since the last reset
+	free    []*idxPage // cleared pages released by a reset, reused first
+	chunks  []*wordChunk
+	nstates int // states in use this kernel
 
 	mm  *mem.Memory
 	res *Result
@@ -237,13 +251,16 @@ func newAnalysis(h tracefile.Header, opt Options) (*analysis, error) {
 	if memBytes > opt.maxMem() {
 		return nil, fmt.Errorf("predict: header demands %d bytes of device memory (limit %d)", memBytes, opt.maxMem())
 	}
+	words := memBytes / mem.WordBytes
+	if words > math.MaxInt32 {
+		return nil, fmt.Errorf("predict: a %d-byte arena exceeds the %d words the word index addresses", memBytes, math.MaxInt32)
+	}
 	return &analysis{
 		header: h,
 		opt:    opt,
 		its:    h.Config.Detector.ITS,
 		acqrel: h.Config.Detector.AcqRel,
-		phases: make(map[int]uint64),
-		words:  make(map[uint64]*wordState),
+		dir:    make([]*idxPage, (words+idxMask)>>idxShift),
 		mm:     mem.NewMap(memBytes),
 		res:    &Result{Header: h},
 		index:  make(map[recordKey]int),
@@ -279,8 +296,68 @@ func (a *analysis) lockTable(block, warp int) *core.LockTable {
 func (a *analysis) resetForKernel() {
 	a.ff.Reset()
 	clear(a.locks)
-	a.phases = make(map[int]uint64)
-	a.words = make(map[uint64]*wordState)
+	clear(a.phases)
+	for _, pi := range a.touched {
+		p := a.dir[pi]
+		clear(p[:])
+		a.free = append(a.free, p)
+		a.dir[pi] = nil
+	}
+	a.touched = a.touched[:0]
+	a.nstates = 0
+}
+
+// phase returns a block's barrier phase in this kernel.
+func (a *analysis) phase(block int) uint64 {
+	if block < len(a.phases) {
+		return a.phases[block]
+	}
+	return 0
+}
+
+// barrier advances a block's barrier phase. No access can carry a block
+// outside [0, maxBlockID) (validIDs rejects it first), so such a
+// barrier's phase is never read and it is ignored.
+func (a *analysis) barrier(block int) {
+	if block < 0 || block >= maxBlockID {
+		return
+	}
+	if block >= len(a.phases) {
+		a.phases = append(a.phases, make([]uint64, block+1-len(a.phases))...)
+	}
+	a.phases[block]++
+}
+
+// state returns the word's state in this kernel, starting it for
+// thread t, with no frames yet, on the kernel's first touch of the word.
+func (a *analysis) state(word uint64, t thread) *wordState {
+	pi := int(word >> idxShift)
+	p := a.dir[pi]
+	if p == nil {
+		if n := len(a.free); n > 0 {
+			p, a.free = a.free[n-1], a.free[:n-1]
+		} else {
+			p = new(idxPage)
+		}
+		a.dir[pi] = p
+		a.touched = append(a.touched, pi)
+	}
+	s := &p[word&idxMask]
+	if *s != 0 {
+		i := int(*s - 1)
+		return &a.chunks[i>>chunkShift][i&chunkMask]
+	}
+	i := a.nstates
+	if i>>chunkShift == len(a.chunks) {
+		a.chunks = append(a.chunks, new(wordChunk))
+	}
+	a.nstates++
+	*s = int32(a.nstates)
+	ws := &a.chunks[i>>chunkShift][i&chunkMask]
+	ws.first = frameSlot{t: t}
+	ws.more = ws.more[:0]
+	ws.allStrong = true
+	return ws
 }
 
 func (a *analysis) apply(i int, op *tracefile.Op) error {
@@ -293,6 +370,9 @@ func (a *analysis) apply(i int, op *tracefile.Op) error {
 		if !validIDs(op.Access.Block, op.Access.Warp) {
 			return fmt.Errorf("predict: access op %d has out-of-range block %d / warp %d", i, op.Access.Block, op.Access.Warp)
 		}
+		if op.Access.Addr >= a.mm.Size() {
+			return fmt.Errorf("predict: access op %d at %#x outside the %d-byte device arena", i, op.Access.Addr, a.mm.Size())
+		}
 		a.res.Accesses++
 		a.onAccess(i, op)
 	case tracefile.OpFence:
@@ -302,7 +382,7 @@ func (a *analysis) apply(i int, op *tracefile.Op) error {
 		a.ff.OnFence(op.Block, op.Warp, op.Scope)
 		a.lockTable(op.Block, op.Warp).OnFence(op.Scope)
 	case tracefile.OpBarrier:
-		a.phases[op.Block]++
+		a.barrier(op.Block)
 	case tracefile.OpKernel:
 		a.res.Kernels++
 		a.resetForKernel()
@@ -334,7 +414,7 @@ func (a *analysis) apply(i int, op *tracefile.Op) error {
 // follows it — then checks the access against every other thread's frames
 // and records its own.
 func (a *analysis) onAccess(i int, op *tracefile.Op) {
-	acc := op.Access
+	acc := &op.Access
 	t := thread{block: acc.Block, warp: acc.Warp, lane: -1}
 	if a.its && acc.Diverged {
 		t.lane = acc.Lane
@@ -350,15 +430,10 @@ func (a *analysis) onAccess(i int, op *tracefile.Op) {
 	}
 
 	cur := a.lockTable(acc.Block, acc.Warp).Summary()
-	word := acc.Addr / mem.WordBytes
-	ws := a.words[word]
-	if ws == nil {
-		ws = &wordState{allStrong: true}
-		a.words[word] = ws
-	}
+	ws := a.state(acc.Addr/mem.WordBytes, t)
 
-	a.checkPairs(i, op, t, cur, ws)
-	a.updateFrames(i, op, t, cur, ws)
+	own := a.checkPairs(i, op, t, cur, ws)
+	a.updateFrames(i, op, t, cur, ws, own)
 
 	switch op.AtomicOp {
 	case core.AtomicCAS:
@@ -376,40 +451,56 @@ func (a *analysis) onAccess(i int, op *tracefile.Op) {
 }
 
 // checkPairs runs the pair check of this access against every other
-// thread's read and write frames of the word.
-func (a *analysis) checkPairs(i int, op *tracefile.Op, t thread, cur core.Bloom, ws *wordState) {
-	acc := op.Access
-	isWrite := acc.Kind != core.KindLoad
-	for si := range ws.frames {
-		slot := &ws.frames[si]
-		if sameThread(slot.t, t) {
-			continue
-		}
-		for _, f := range []*frame{&slot.write, &slot.read} {
-			if !f.used {
-				continue
-			}
-			if f.kind == core.KindLoad && !isWrite {
-				continue // read-read pairs never conflict
-			}
-			if kind, raced := a.pairCheck(f, op, t, cur, ws); raced {
-				a.report(kind, f, i, op, t, cur, ws)
-			}
+// thread's read and write frames of the word, in first-touch order. It
+// returns the slot of the access's own thread, nil when it has none.
+func (a *analysis) checkPairs(i int, op *tracefile.Op, t thread, cur core.Bloom, ws *wordState) (own *frameSlot) {
+	if a.checkSlot(i, op, t, cur, ws, &ws.first) {
+		own = &ws.first
+	}
+	for si := range ws.more {
+		if a.checkSlot(i, op, t, cur, ws, &ws.more[si]) {
+			own = &ws.more[si]
 		}
 	}
+	return own
+}
+
+// checkSlot checks the access against one slot's frames unless the
+// slot's thread is program-ordered with it, and reports whether the slot
+// is the access's own thread's.
+func (a *analysis) checkSlot(i int, op *tracefile.Op, t thread, cur core.Bloom, ws *wordState, slot *frameSlot) (own bool) {
+	if slot.t == t {
+		return true
+	}
+	if sameThread(slot.t, t) {
+		return false
+	}
+	isWrite := op.Access.Kind != core.KindLoad
+	for _, f := range [2]*frame{&slot.write, &slot.read} {
+		if !f.used {
+			continue
+		}
+		if f.kind == core.KindLoad && !isWrite {
+			continue // read-read pairs never conflict
+		}
+		if kind, raced := a.pairCheck(f, slot.t, op, t, cur, ws); raced {
+			a.report(kind, f, slot.t, i, op, t, cur, ws)
+		}
+	}
+	return false
 }
 
 // pairCheck decides whether the pair (f, current access) is ordered by
 // the partial order, mirroring the detector's decision tree (Tables III
 // and IV) evaluated on the pair's own scoped epochs.
-func (a *analysis) pairCheck(f *frame, op *tracefile.Op, t thread, cur core.Bloom, ws *wordState) (core.RaceKind, bool) {
-	acc := op.Access
-	sameBlock := f.t.block == t.block
+func (a *analysis) pairCheck(f *frame, ft thread, op *tracefile.Op, t thread, cur core.Bloom, ws *wordState) (core.RaceKind, bool) {
+	acc := &op.Access
+	sameBlock := ft.block == t.block
 
 	// Barrier-phase edge: every warp of a block participates in every
 	// barrier, so same-block accesses in different phases are ordered in
 	// every legal schedule (Table III (c), per-pair and wrap-free).
-	if sameBlock && f.phase != a.phases[t.block] {
+	if sameBlock && f.phase != a.phase(t.block) {
 		return 0, false
 	}
 
@@ -437,7 +528,7 @@ func (a *analysis) pairCheck(f *frame, op *tracefile.Op, t thread, cur core.Bloo
 
 	// Happens-before path — Table IV (a)/(b)/(c): has the previous
 	// thread's warp fenced (at sufficient scope) since the access?
-	ffBlk, ffDev := a.ff.Get(f.t.block, f.t.warp)
+	ffBlk, ffDev := a.ff.Get(ft.block, ft.warp)
 	if sameBlock {
 		if f.blkFence == ffBlk && f.devFence == ffDev {
 			if a.its && f.diverged && acc.Diverged {
@@ -457,49 +548,48 @@ func (a *analysis) pairCheck(f *frame, op *tracefile.Op, t thread, cur core.Bloo
 }
 
 // updateFrames records this access as its thread's latest read or write
-// of the word and folds its strength into the word's sticky flag.
-func (a *analysis) updateFrames(i int, op *tracefile.Op, t thread, cur core.Bloom, ws *wordState) {
-	acc := op.Access
+// of the word, in the thread's slot own or in a new one, and folds its
+// strength into the word's sticky flag.
+func (a *analysis) updateFrames(i int, op *tracefile.Op, t thread, cur core.Bloom, ws *wordState, own *frameSlot) {
+	acc := &op.Access
 	blkF, devF := a.ff.Get(acc.Block, acc.Warp)
 	nf := frame{
-		used:     true,
 		op:       i,
-		t:        t,
+		phase:    a.phase(t.block),
+		bloom:    cur,
 		kind:     acc.Kind,
 		scope:    acc.Scope,
-		strong:   acc.Strong,
-		site:     acc.Site,
-		cycle:    acc.Cycle,
-		phase:    a.phases[t.block],
 		blkFence: blkF,
 		devFence: devF,
-		bloom:    cur,
+		used:     true,
 		diverged: acc.Diverged,
 	}
-	slot := ws.slot(t)
+	if own == nil {
+		ws.more = append(ws.more, frameSlot{t: t})
+		own = &ws.more[len(ws.more)-1]
+	}
 	if acc.Kind == core.KindLoad {
-		slot.read = nf
+		own.read = nf
 	} else {
-		slot.write = nf
+		own.write = nf
 	}
 	if !acc.Strong {
 		ws.allStrong = false
 	}
-	ws.initialized = true
 }
 
 // report folds one unordered pair into the deduped prediction set,
 // mirroring the detector's (kind, word, site) record identity.
-func (a *analysis) report(kind core.RaceKind, f *frame, i int, op *tracefile.Op, t thread, cur core.Bloom, ws *wordState) {
-	acc := op.Access
+func (a *analysis) report(kind core.RaceKind, f *frame, ft thread, i int, op *tracefile.Op, t thread, cur core.Bloom, ws *wordState) {
+	acc := &op.Access
 	wordAddr := acc.Addr / mem.WordBytes * mem.WordBytes
 	key := recordKey{kind: kind, addr: wordAddr, site: acc.Site}
 	if pi, ok := a.index[key]; ok {
 		a.res.Predictions[pi].Record.Count++
 		return
 	}
-	sameBlock := f.t.block == t.block
-	ffBlk, ffDev := a.ff.Get(f.t.block, f.t.warp)
+	sameBlock := ft.block == t.block
+	ffBlk, ffDev := a.ff.Get(ft.block, ft.warp)
 	alloc := ""
 	if al, ok := a.mm.Locate(mem.Addr(wordAddr)); ok {
 		alloc = al.Name
@@ -510,8 +600,8 @@ func (a *analysis) report(kind core.RaceKind, f *frame, i int, op *tracefile.Op,
 			Kind:      kind,
 			Addr:      wordAddr,
 			SameBlock: sameBlock,
-			PrevBlock: f.t.block,
-			PrevWarp:  f.t.warp,
+			PrevBlock: ft.block,
+			PrevWarp:  ft.warp,
 			CurBlock:  t.block,
 			CurWarp:   t.warp,
 			Site:      acc.Site,
@@ -526,7 +616,7 @@ func (a *analysis) report(kind core.RaceKind, f *frame, i int, op *tracefile.Op,
 			Word:          wordAddr,
 			SameBlock:     sameBlock,
 			PrevPhase:     f.phase,
-			CurPhase:      a.phases[t.block],
+			CurPhase:      a.phase(t.block),
 			PrevBlkFence:  f.blkFence,
 			PrevDevFence:  f.devFence,
 			BlkFenceNow:   ffBlk,

@@ -2,10 +2,13 @@ package predict_test
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"testing"
 
 	"scord/internal/analysis/predict"
 	"scord/internal/config"
+	"scord/internal/core"
 	"scord/internal/gpu"
 	"scord/internal/mem"
 	"scord/internal/replay"
@@ -172,5 +175,49 @@ func TestRejectsHostileHeaders(t *testing.T) {
 	h = tracefile.NewHeader("x", nil, cfg)
 	if _, err := predict.Run(h, nil, predict.Options{}); err == nil {
 		t.Errorf("negative arena accepted")
+	}
+}
+
+// TestRejectsHostileOps: in-memory ops bypass the trace reader's checks.
+// An access at or beyond the arena is an error, not an index past the
+// analysis's word index, and a barrier on a block no access can carry
+// (validIDs rejects such accesses) panics nowhere and changes nothing.
+func TestRejectsHostileOps(t *testing.T) {
+	h, ops := synthTrace(1, true, true)
+	arena := uint64(h.Config.DeviceMemBytes)
+	for _, addr := range []uint64{arena, arena + 5, 1 << 40, math.MaxUint64} {
+		bad := append(append([]tracefile.Op{}, ops...), tracefile.Op{
+			Kind: tracefile.OpAccess, Access: core.Access{Kind: core.KindStore, Addr: addr}})
+		if _, err := predict.Run(h, bad, predict.Options{}); err == nil {
+			t.Errorf("access at %#x in a %d-byte arena accepted", addr, arena)
+		}
+	}
+	// Every 7th op gains a successor: a kernel end, which the analysis
+	// ignores, or a barrier on a hostile block. Op indices stay aligned.
+	with := func(extra tracefile.Op) []tracefile.Op {
+		var out []tracefile.Op
+		for i, op := range ops {
+			out = append(out, op)
+			if i%7 == 0 {
+				out = append(out, extra)
+			}
+		}
+		return out
+	}
+	want, err := predict.Run(h, with(tracefile.Op{Kind: tracefile.OpKernelEnd, Name: "k"}), predict.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Predictions) == 0 {
+		t.Fatal("no predictions to compare")
+	}
+	for _, block := range []int{-1, 1 << 20, math.MaxInt} {
+		got, err := predict.Run(h, with(tracefile.Op{Kind: tracefile.OpBarrier, Block: block, Warps: 4}), predict.Options{})
+		if err != nil {
+			t.Fatalf("barrier on block %d: %v", block, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("barriers on block %d changed the analysis", block)
+		}
 	}
 }

@@ -173,23 +173,51 @@ func TestUploadValidationAndDedup(t *testing.T) {
 }
 
 // TestUploadRejectsHostileHeaders: a header whose configuration no device
-// could run with, or whose arena exceeds 1 GB, gets 400 at upload and is
-// not stored, rather than failing or costing gigabytes on every replay.
+// could run with, or whose arena exceeds 1 GB, and an access, fence or
+// barrier on block 1,024 or beyond get 400 at upload and are not stored,
+// rather than failing or costing gigabytes on every replay. Block 31, in
+// the widest grid the suite records, is admitted.
 func TestUploadRejectsHostileHeaders(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	noAssoc := config.Default()
 	noAssoc.L1Assoc = 0
 	huge := config.Default()
 	huge.DeviceMemBytes = 1 << 40
-	for name, cfg := range map[string]config.Config{"L1Assoc 0": noAssoc, "1 TB arena": huge} {
+	store := func(block int) func(*tracefile.Writer) {
+		return func(tw *tracefile.Writer) {
+			tw.Access(core.Access{Kind: core.KindStore, Addr: 64, Block: block, Cycle: 5}, core.AtomicOther, 4)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		cfg    config.Config
+		body   func(*tracefile.Writer)
+		status int
+	}{
+		{"L1Assoc 0", noAssoc, store(0), http.StatusBadRequest},
+		{"1 TB arena", huge, store(0), http.StatusBadRequest},
+		{"access on block 1024", config.Default(), store(1024), http.StatusBadRequest},
+		{"access on block 2^31", config.Default(), store(1 << 31), http.StatusBadRequest},
+		{"fence on block 1024", config.Default(), func(tw *tracefile.Writer) {
+			tw.Fence(1024, 0, core.ScopeDevice, 5, false)
+		}, http.StatusBadRequest},
+		{"barrier on block 1024", config.Default(), func(tw *tracefile.Writer) {
+			tw.Barrier(1024, 0, 4, 5)
+		}, http.StatusBadRequest},
+		{"block 31", config.Default(), func(tw *tracefile.Writer) {
+			store(31)(tw)
+			tw.Fence(31, 3, core.ScopeDevice, 6, false)
+			tw.Barrier(31, 0, 4, 7)
+		}, http.StatusOK},
+	} {
 		var buf bytes.Buffer
-		tw, err := tracefile.NewWriter(&buf, tracefile.NewHeader("hostile", nil, cfg))
+		tw, err := tracefile.NewWriter(&buf, tracefile.NewHeader("hostile", nil, c.cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
 		tw.Alloc("data", 0, 4096)
 		tw.KernelStart("kern", 1, 32, 0)
-		tw.Access(core.Access{Kind: core.KindStore, Addr: 64, Cycle: 5}, core.AtomicOther, 4)
+		c.body(tw)
 		tw.KernelEnd("kern", 10)
 		if err := tw.Close(); err != nil {
 			t.Fatal(err)
@@ -200,12 +228,12 @@ func TestUploadRejectsHostileHeaders(t *testing.T) {
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: upload status = %d (%s), want 400", name, resp.StatusCode, body)
+		if resp.StatusCode != c.status {
+			t.Errorf("%s: upload status = %d (%s), want %d", c.name, resp.StatusCode, body, c.status)
 		}
 	}
-	if ids := s.Store().IDs(); len(ids) != 0 {
-		t.Errorf("store holds %v after rejected uploads, want nothing", ids)
+	if ids := s.Store().IDs(); len(ids) != 1 {
+		t.Errorf("store holds %v after six rejected uploads and one admitted, want one trace", ids)
 	}
 }
 

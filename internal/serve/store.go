@@ -54,13 +54,21 @@ func NewStore(maxBytes int64) *Store {
 	return &Store{maxBytes: maxBytes, traces: map[string]*Trace{}}
 }
 
+// maxBlocks bounds the block IDs an upload may use, far above the widest
+// grid the suite records (RED, 32 blocks).
+const maxBlocks = 1024
+
 // Validate decodes an entire trace stream, returning its header and op
 // counts, or the decoding error. It is the single admission gate for
 // uploaded bytes: it also rejects a header whose configuration a device
 // could not run with, or whose arena exceeds the 1 GB bound predict
 // applies by default. Each metadata-backed model sizes its page directory
 // by the arena, so a header claiming 1 TB would cost 4 GB per model on
-// every replay.
+// every replay. It also rejects any access, fence or barrier of a block
+// at or beyond maxBlocks: every detector-backed model grows a 32-byte
+// lock table per warp up to the largest block ID it sees, so one store
+// at block 2^31 would ask each model for 4 TiB, an out-of-memory crash no
+// recover contains.
 func Validate(r io.Reader) (h tracefile.Header, ops, accesses, kernels int, err error) {
 	tr, err := tracefile.NewReader(r)
 	if err != nil {
@@ -83,11 +91,18 @@ func Validate(r io.Reader) (h tracefile.Header, ops, accesses, kernels int, err 
 			return tracefile.Header{}, 0, 0, 0, err
 		}
 		ops++
+		block := 0
 		switch op.Kind {
 		case tracefile.OpAccess:
 			accesses++
+			block = op.Access.Block
+		case tracefile.OpFence, tracefile.OpBarrier:
+			block = op.Block
 		case tracefile.OpKernel:
 			kernels++
+		}
+		if block >= maxBlocks {
+			return tracefile.Header{}, 0, 0, 0, fmt.Errorf("serve: op %d is on block %d, limit %d blocks", ops-1, block, maxBlocks)
 		}
 	}
 }
