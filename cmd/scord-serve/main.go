@@ -85,8 +85,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers   = fs.Int("workers", 2, "replay workers per shard")
 		queue     = fs.Int("queue", 64, "queued jobs per shard before 429 backpressure")
 		maxUpload = fs.Int64("max-upload-bytes", 64<<20, "largest accepted trace upload")
-		maxStore  = fs.Int64("max-store-bytes", 256<<20, "total raw trace bytes retained")
-		cacheN    = fs.Int("cache", 256, "replay outcomes kept in the result cache")
+		maxStore  = fs.Int64("max-store-bytes", 256<<20, "trace store budget: 160 bytes per decoded op plus each trace's raw length")
+		cacheN    = fs.Int("cache", 256, "replay bodies kept in the result cache")
 
 		loadtest   = fs.Bool("loadtest", false, "run the built-in load test against this process and exit")
 		ltRequests = fs.Int("loadtest-requests", 200, "replay requests to send")

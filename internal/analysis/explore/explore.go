@@ -336,19 +336,33 @@ func locateRaces(res *replay.Result) []tupleHit {
 }
 
 // addFindings registers the new tuples of one DFS schedule, building the
-// schedule's op sequence only when it exposes one.
+// schedule's op sequence only when it exposes one. A schedule in the
+// recorded order, as schedule 0 is, is analysed in place.
 func addFindings(v *Verdict, h tracefile.Header, ops []tracefile.Op, found map[predict.Tuple]bool, idx int, out schedOut, seeded bool) {
 	for _, hit := range out.hits {
 		if found[predict.Tuple{Alloc: hit.alloc, Kind: hit.rec.Kind}] {
 			continue
 		}
-		sops := make([]tracefile.Op, len(out.perm))
-		for i, p := range out.perm {
-			sops[i] = ops[p]
+		sops := ops
+		if !isIdentity(out.perm) {
+			sops = make([]tracefile.Op, len(out.perm))
+			for i, p := range out.perm {
+				sops[i] = ops[p]
+			}
 		}
 		addFindingsOps(v, h, sops, found, idx, out.hits, seeded)
 		return
 	}
+}
+
+// isIdentity reports whether perm keeps every op in place.
+func isIdentity(perm []int) bool {
+	for i, p := range perm {
+		if p != i {
+			return false
+		}
+	}
+	return true
 }
 
 // addFindingsOps is addFindings for schedules already materialized as ops.

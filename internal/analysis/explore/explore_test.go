@@ -64,10 +64,16 @@ func recordMicroOps(t *testing.T, name string) (tracefile.Header, []tracefile.Op
 // inequivalent schedules (the orderings of the three contested stores);
 // the recorded one is race-free and four of the others expose the
 // missing-lock store, so the explorer must return exactly that tuple,
-// not observed, with a verified witness, and exhaust the space.
+// not observed, with a verified witness, and exhaust the space. The
+// witness is the one the predictor derives on the finding's own
+// schedule, not on the recorded order.
 func TestMaskedRaceExplored(t *testing.T) {
 	h, ops := explore.MaskedRaceExample()
-	v, err := explore.Explore(h, ops, explore.Options{Jobs: 4})
+	perms := map[int][]int{}
+	v, err := explore.Explore(h, ops, explore.Options{Jobs: 4, OnSchedule: func(idx int, perm []int) error {
+		perms[idx] = perm
+		return nil
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +98,24 @@ func TestMaskedRaceExplored(t *testing.T) {
 	}
 	if !f.WitnessOK {
 		t.Errorf("witness failed verification: %s", f.WitnessErr)
+	}
+	sched := make([]tracefile.Op, len(ops))
+	for i, p := range perms[f.Schedule] {
+		sched[i] = ops[p]
+	}
+	pres, err := predict.Run(h, sched, predict.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want *predict.Witness
+	for _, p := range pres.Predictions {
+		if p.Alloc == f.Alloc && p.Record.Kind == f.Kind {
+			want = &p.Witness
+			break
+		}
+	}
+	if want == nil || !reflect.DeepEqual(f.Witness, *want) {
+		t.Errorf("finding's witness %+v is not the prediction on schedule %d, %+v", f.Witness, f.Schedule, want)
 	}
 }
 

@@ -176,6 +176,9 @@ const (
 type (
 	idxPage   [idxLen]int32
 	wordChunk [chunkLen]wordState
+	// warpLocks is one block's lock tables, one per warp (the warp ID's
+	// low six bits, as the detector's dense index keys them).
+	warpLocks [64]core.LockTable
 )
 
 // analysis is the streaming state of one run.
@@ -187,8 +190,13 @@ type analysis struct {
 	acqrel bool
 
 	ff     core.FenceFile
-	locks  []core.LockTable
 	phases []uint64 // block -> barrier phase
+
+	// Lock tables, made per block on first use and reset like the word
+	// index: a fence on block 65,535 costs one block's tables.
+	locks       []*warpLocks // block -> tables; nil: untouched this kernel
+	lockTouched []int        // blocks whose tables were made since the last reset
+	lockFree    []*warpLocks // cleared tables released by a reset, reused first
 
 	dir     []*idxPage // word>>idxShift -> page; nil: untouched this kernel
 	touched []int      // pages made since the last reset
@@ -267,11 +275,8 @@ func newAnalysis(h tracefile.Header, opt Options) (*analysis, error) {
 	}, nil
 }
 
-// warpKey mirrors the detector's dense lock-table index.
-func warpKey(block, warp int) int { return block<<6 | warp&63 }
-
 // Hostile-trace bounds: block and warp IDs far beyond any real grid are
-// rejected before they can size the dense per-warp lock-table slice.
+// rejected before they can size the per-block lock-table directory.
 const (
 	maxBlockID = 1 << 20
 	maxWarpID  = 1 << 12
@@ -281,21 +286,37 @@ func validIDs(block, warp int) bool {
 	return block >= 0 && block < maxBlockID && warp >= 0 && warp < maxWarpID
 }
 
+// lockTable returns a warp's lock table, making its block's tables on
+// the kernel's first use of the block.
 func (a *analysis) lockTable(block, warp int) *core.LockTable {
-	k := warpKey(block, warp)
-	if k >= len(a.locks) {
-		grown := make([]core.LockTable, k+64)
+	if block >= len(a.locks) {
+		grown := make([]*warpLocks, block+1, max(block+1, 2*len(a.locks)))
 		copy(grown, a.locks)
 		a.locks = grown
 	}
-	return &a.locks[k]
+	wl := a.locks[block]
+	if wl == nil {
+		if n := len(a.lockFree); n > 0 {
+			wl, a.lockFree = a.lockFree[n-1], a.lockFree[:n-1]
+		} else {
+			wl = new(warpLocks)
+		}
+		a.locks[block] = wl
+		a.lockTouched = append(a.lockTouched, block)
+	}
+	return &wl[warp&63]
 }
 
 // resetForKernel mirrors Detector.ResetForKernel: a launch is a global
 // synchronization point, so cross-kernel pairs can never race.
 func (a *analysis) resetForKernel() {
 	a.ff.Reset()
-	clear(a.locks)
+	for _, b := range a.lockTouched {
+		*a.locks[b] = warpLocks{}
+		a.lockFree = append(a.lockFree, a.locks[b])
+		a.locks[b] = nil
+	}
+	a.lockTouched = a.lockTouched[:0]
 	clear(a.phases)
 	for _, pi := range a.touched {
 		p := a.dir[pi]
@@ -420,16 +441,16 @@ func (a *analysis) onAccess(i int, op *tracefile.Op) {
 		t.lane = acc.Lane
 	}
 
+	lt := a.lockTable(acc.Block, acc.Warp)
 	if op.AtomicOp == core.AtomicRelease && a.acqrel {
 		// Mirror Detector.OnRelease: fence at the release's scope, then a
 		// releasing Exch on the sync object.
 		a.ff.OnFence(acc.Block, acc.Warp, acc.Scope)
-		lt := a.lockTable(acc.Block, acc.Warp)
 		lt.OnFence(acc.Scope)
 		lt.OnExch(acc.Addr, acc.Scope)
 	}
 
-	cur := a.lockTable(acc.Block, acc.Warp).Summary()
+	cur := lt.Summary()
 	ws := a.state(acc.Addr/mem.WordBytes, t)
 
 	own := a.checkPairs(i, op, t, cur, ws)
@@ -437,15 +458,15 @@ func (a *analysis) onAccess(i int, op *tracefile.Op) {
 
 	switch op.AtomicOp {
 	case core.AtomicCAS:
-		a.lockTable(acc.Block, acc.Warp).OnCAS(acc.Addr, acc.Scope)
+		lt.OnCAS(acc.Addr, acc.Scope)
 	case core.AtomicExch:
-		a.lockTable(acc.Block, acc.Warp).OnExch(acc.Addr, acc.Scope)
+		lt.OnExch(acc.Addr, acc.Scope)
 	case core.AtomicAcquire:
 		if a.acqrel {
 			// Mirror Detector.OnAcquire: consume the matching release's
 			// ordering — a fence at the acquire's scope.
 			a.ff.OnFence(acc.Block, acc.Warp, acc.Scope)
-			a.lockTable(acc.Block, acc.Warp).OnFence(acc.Scope)
+			lt.OnFence(acc.Scope)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"scord/internal/analysis/predict"
@@ -219,5 +220,32 @@ func TestRejectsHostileOps(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("barriers on block %d changed the analysis", block)
 		}
+	}
+}
+
+// TestFenceOnHighBlockAllocs: lock tables are made per block on first
+// use, so a two-op trace, a launch and then a fence on block 65,535,
+// allocates under 1 MB. One dense table up to the block took 134 MB.
+func TestFenceOnHighBlockAllocs(t *testing.T) {
+	h := tracefile.NewHeader("high-block", nil, config.Default())
+	ops := []tracefile.Op{
+		{Kind: tracefile.OpKernel, Name: "k", Blocks: 65536, Threads: 32},
+		{Kind: tracefile.OpFence, Block: 65535, Scope: core.ScopeDevice},
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := predict.Run(h, ops, predict.Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops != 2 || res.Kernels != 1 {
+		t.Fatalf("analysed %d ops and %d kernels, want 2 and 1", res.Ops, res.Kernels)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d bytes allocated", alloc)
+	if alloc >= 1<<20 {
+		t.Errorf("predict.Run allocated %d bytes for a fence on block 65,535, want under 1 MB", alloc)
 	}
 }

@@ -8,18 +8,19 @@ import (
 	"sync/atomic"
 )
 
-// cacheKey identifies one replay outcome: the trace's content hash, the
-// hash of the exact configuration replayed under (the trace header's
-// config with any mode override applied), and the canonical detector
-// list. Two requests with the same key are guaranteed the same bytes, so
-// the second is served from cache without replaying.
+// cacheKey identifies one rendered replay body: the trace's content hash,
+// the hash of the exact configuration replayed under (the trace header's
+// config with any mode override applied), the canonical detector list
+// and the body format. Two requests with the same key are guaranteed the
+// same bytes, so the second is served from cache without replaying.
 type cacheKey struct {
 	trace      string
 	configHash uint64
 	detectors  string
+	text       bool
 }
 
-// ResultCache is a mutex-guarded LRU over computed replay outcomes.
+// ResultCache is a mutex-guarded LRU over rendered replay bodies.
 type ResultCache struct {
 	mu      sync.Mutex
 	max     int
@@ -31,11 +32,11 @@ type ResultCache struct {
 }
 
 type cacheEntry struct {
-	key cacheKey
-	out *outcome
+	key  cacheKey
+	body []byte
 }
 
-// NewResultCache returns a cache holding up to max outcomes.
+// NewResultCache returns a cache holding up to max bodies.
 func NewResultCache(max int) *ResultCache {
 	if max < 1 {
 		max = 1
@@ -43,8 +44,8 @@ func NewResultCache(max int) *ResultCache {
 	return &ResultCache{max: max, entries: map[cacheKey]*list.Element{}}
 }
 
-// Get returns the cached outcome for key, bumping its recency.
-func (c *ResultCache) Get(key cacheKey) (*outcome, bool) {
+// Get returns the cached body for key, bumping its recency.
+func (c *ResultCache) Get(key cacheKey) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -54,20 +55,20 @@ func (c *ResultCache) Get(key cacheKey) (*outcome, bool) {
 	}
 	c.lru.MoveToFront(el)
 	c.hits.Add(1)
-	return el.Value.(*cacheEntry).out, true
+	return el.Value.(*cacheEntry).body, true
 }
 
-// Put stores an outcome, evicting the least recently used entry past the
+// Put stores a body, evicting the least recently used entry past the
 // capacity. Re-putting an existing key refreshes its recency.
-func (c *ResultCache) Put(key cacheKey, out *outcome) {
+func (c *ResultCache) Put(key cacheKey, body []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).out = out
+		el.Value.(*cacheEntry).body = body
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, out: out})
+	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, body: body})
 	for len(c.entries) > c.max {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -19,6 +20,15 @@ var (
 	ErrDraining = errors.New("serve: draining")
 )
 
+// PanicError is a job's recovered panic: the value it panicked with and
+// the stack that raised it. Do returns it; the worker lives on.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("serve: job panicked: %v", e.Value) }
+
 // Pool is a sharded, bounded worker pool with per-tenant fairness.
 //
 // Tenants hash onto shards, so one noisy tenant can fill at most its own
@@ -28,6 +38,9 @@ var (
 // explicit depth: a full shard rejects with ErrQueueFull and the HTTP
 // layer translates that into 429 + Retry-After (backpressure, never
 // unbounded buffering).
+//
+// A job that panics fails alone: its worker recovers the panic, counts
+// it and keeps serving the shard.
 //
 // Drain is the graceful-shutdown half of the contract: after Drain, new
 // submissions fail with ErrDraining, but every job already accepted —
@@ -43,13 +56,16 @@ type Pool struct {
 	submitted atomic.Int64
 	rejected  atomic.Int64
 	completed atomic.Int64
+	panicked  atomic.Int64
 	inflight  atomic.Int64
 }
 
-// job is one accepted unit of work; done closes after run returns.
+// job is one accepted unit of work; done closes after run returns or
+// panics.
 type job struct {
 	run  func()
 	done chan struct{}
+	err  *PanicError // set before done closes
 }
 
 // shard is one independently locked queue group.
@@ -108,10 +124,25 @@ func (p *Pool) shardFor(tenant string) *shard {
 	return p.shards[p.ShardIndex(tenant)]
 }
 
-// Submit enqueues run under the tenant's shard and returns a channel that
-// closes when the job has finished. It fails fast with ErrDraining after
-// Drain began or ErrQueueFull when the shard's queue is at depth.
-func (p *Pool) Submit(tenant string, run func()) (<-chan struct{}, error) {
+// Do enqueues run under the tenant's shard and blocks until it has
+// finished. It fails fast with ErrDraining after Drain began or
+// ErrQueueFull when the shard's queue is at depth, and returns a
+// *PanicError when run panicked.
+func (p *Pool) Do(tenant string, run func()) error {
+	j, err := p.submit(tenant, run)
+	if err != nil {
+		return err
+	}
+	<-j.done
+	if j.err != nil {
+		return j.err
+	}
+	return nil
+}
+
+// submit enqueues run and returns its job, whose done channel closes when
+// the job has finished.
+func (p *Pool) submit(tenant string, run func()) (*job, error) {
 	s := p.shardFor(tenant)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -130,17 +161,7 @@ func (p *Pool) Submit(tenant string, run func()) (<-chan struct{}, error) {
 	s.queued++
 	p.submitted.Add(1)
 	s.cond.Signal()
-	return j.done, nil
-}
-
-// Do submits run and blocks until it has completed.
-func (p *Pool) Do(tenant string, run func()) error {
-	done, err := p.Submit(tenant, run)
-	if err != nil {
-		return err
-	}
-	<-done
-	return nil
+	return j, nil
 }
 
 // worker executes jobs from one shard until the shard is both draining
@@ -160,11 +181,27 @@ func (p *Pool) worker(s *shard) {
 		s.mu.Unlock()
 
 		p.inflight.Add(1)
-		j.run()
+		j.err = runJob(j.run)
 		p.inflight.Add(-1)
-		p.completed.Add(1)
+		if j.err != nil {
+			p.panicked.Add(1)
+		} else {
+			p.completed.Add(1)
+		}
 		close(j.done)
 	}
+}
+
+// runJob runs one job, recovering a panic into a *PanicError so that it
+// fails only its own job.
+func runJob(run func()) (perr *PanicError) {
+	defer func() {
+		if v := recover(); v != nil {
+			perr = &PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	run()
+	return nil
 }
 
 // pop removes the next job, round-robin across tenants. Caller holds mu
@@ -245,6 +282,7 @@ func (p *Pool) Status() any {
 		"submitted":   sub,
 		"rejected":    rej,
 		"completed":   comp,
+		"panicked":    p.panicked.Load(),
 		"draining":    p.Draining(),
 	}
 }
@@ -272,6 +310,7 @@ func (p *Pool) WritePrometheus(w io.Writer) error {
 	counter("scord_serve_jobs_submitted_total", "jobs accepted into a queue", sub)
 	counter("scord_serve_jobs_rejected_total", "jobs rejected with queue-full backpressure", rej)
 	counter("scord_serve_jobs_completed_total", "jobs run to completion", comp)
+	counter("scord_serve_jobs_panicked_total", "jobs that panicked and failed alone; the worker recovered", p.panicked.Load())
 	_, err := w.Write(b)
 	return err
 }

@@ -1,15 +1,15 @@
 // Package serve turns the replay engine into a long-running service:
 // upload an SCTR trace once, replay it under any detector set many
 // times, over HTTP. The building blocks mirror the offline pipeline —
-// tracefile.Reader validates uploads, replay.RunOps executes jobs — so
-// an HTTP replay is byte-identical to `scord-replay replay` on the same
-// trace.
+// tracefile.Reader validates and decodes uploads, replay.RunOps executes
+// jobs — so an HTTP replay is byte-identical to `scord-replay replay` on
+// the same trace.
 //
 // The package composes four parts:
 //
-//   - Store:       content-addressed, fully-validated trace uploads
+//   - Store:       content-addressed, fully-validated, decoded uploads
 //   - Pool:        sharded bounded workers with per-tenant fairness
-//   - ResultCache: LRU over computed outcomes keyed by content hashes
+//   - ResultCache: LRU over rendered bodies keyed by content hashes
 //   - Server:      the HTTP API mounted on the obs telemetry mux
 //
 // Every part implements Component (health + status for /healthz and
@@ -34,6 +34,7 @@ import (
 	"scord/internal/config"
 	"scord/internal/core"
 	"scord/internal/obs"
+	"scord/internal/obs/tracing"
 	"scord/internal/replay"
 	"scord/internal/tracefile"
 	"scord/internal/version"
@@ -58,11 +59,13 @@ type Config struct {
 	QueueDepth      int
 
 	// MaxUploadBytes caps one trace upload (413 beyond it);
-	// MaxStoreBytes caps total raw bytes retained across traces.
+	// MaxStoreBytes caps what the store retains across traces: each
+	// trace's decoded ops at unsafe.Sizeof(tracefile.Op{}) bytes per op,
+	// plus its raw length (507 beyond it).
 	MaxUploadBytes int64
 	MaxStoreBytes  int64
 
-	// CacheEntries bounds the replay-outcome LRU.
+	// CacheEntries bounds the replay-body LRU.
 	CacheEntries int
 
 	// SpanEntries bounds the request span-tree store behind /v1/spans.
@@ -100,14 +103,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// outcome is one fully rendered replay result. Both response bodies are
-// computed once, under the pool, and served verbatim afterwards — a
-// cache hit returns the exact bytes the miss produced.
-type outcome struct {
-	jsonBody []byte
-	textBody []byte
-}
-
 // Server is the scord-serve HTTP service.
 type Server struct {
 	cfg   Config
@@ -117,10 +112,10 @@ type Server struct {
 	cache *ResultCache
 	spans *SpanStore
 
-	// epoch anchors the wall clock: every request span's timestamps are
-	// microseconds since process start, so span trees from one process
-	// share one time axis.
-	epoch     time.Time
+	// clock is the serve path's tracing clock: every request span's
+	// timestamps are microseconds since the server was built, so span
+	// trees from one process share one time axis.
+	clock     tracing.Clock
 	replayLat *obs.Histogram
 	uploadLat *obs.Histogram
 
@@ -130,6 +125,7 @@ type Server struct {
 // New builds a Server from cfg and starts its worker pool.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	epoch := time.Now()
 	return &Server{
 		cfg:   cfg,
 		log:   cfg.Logger,
@@ -137,17 +133,13 @@ func New(cfg Config) *Server {
 		pool:  NewPool(cfg.Shards, cfg.WorkersPerShard, cfg.QueueDepth),
 		cache: NewResultCache(cfg.CacheEntries),
 		spans: NewSpanStore(cfg.SpanEntries),
-		epoch: time.Now(),
+		clock: func() uint64 { return uint64(time.Since(epoch) / time.Microsecond) },
 		replayLat: obs.NewHistogram("scord_serve_replay_seconds",
 			"end-to-end /v1/replay latency (exemplars carry trace IDs)", obs.DefaultLatencyBuckets),
 		uploadLat: obs.NewHistogram("scord_serve_upload_seconds",
 			"end-to-end /v1/traces upload latency (exemplars carry trace IDs)", obs.DefaultLatencyBuckets),
 	}
 }
-
-// wallClock is the serve path's tracing clock: microseconds since the
-// server was built.
-func (s *Server) wallClock() uint64 { return uint64(time.Since(s.epoch) / time.Microsecond) }
 
 // Components returns the health-checked parts in display order.
 func (s *Server) Components() []Component {
@@ -274,12 +266,12 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.traceHash = tr.ID
-	s.log.Info("trace stored", "id", tr.ID, "bytes", len(tr.Raw), "ops", tr.Ops, "dup", dup,
+	s.log.Info("trace stored", "id", tr.ID, "bytes", tr.RawBytes, "ops", tr.Ops, "dup", dup,
 		"trace_id", rt.tr.TraceID().String())
 	writeJSON(w, http.StatusOK, map[string]any{
 		"id":       tr.ID,
 		"dup":      dup,
-		"bytes":    len(tr.Raw),
+		"bytes":    tr.RawBytes,
 		"ops":      tr.Ops,
 		"accesses": tr.Accesses,
 		"kernels":  tr.Kernels,
@@ -357,17 +349,26 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		cfg = cfg.WithDetector(dm)
 	}
 
-	key := cacheKey{
-		trace:      tr.ID,
-		configHash: tracefile.HashConfig(cfg),
-		detectors:  strings.Join(names, ","),
+	// A request renders only the body format it asked for. HashConfig
+	// runs once, and only when the cache key or the JSON body needs it.
+	text := r.URL.Query().Get("format") == "text"
+	var hash uint64
+	if !req.NoCache || !text {
+		hash = tracefile.HashConfig(cfg)
 	}
+	var key cacheKey
 	if !req.NoCache {
-		if out, ok := s.cache.Get(key); ok {
+		key = cacheKey{
+			trace:      tr.ID,
+			configHash: hash,
+			detectors:  strings.Join(names, ","),
+			text:       text,
+		}
+		if body, ok := s.cache.Get(key); ok {
 			admit.Finish()
 			rt.cache = "hit"
 			render := rt.root.StartChild("render")
-			s.respond(w, r, out, "hit")
+			respond(w, body, text, "hit")
 			render.Finish()
 			return
 		}
@@ -376,25 +377,27 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	rt.cache = "miss"
 
 	var (
-		out    *outcome
+		body   []byte
 		runErr error
 	)
 	// The worker closure runs on a pool goroutine while this handler
-	// blocks on <-done, so the span mutations below are ordered by the
-	// channel close, not concurrent with the handler's.
-	submitTS := s.wallClock()
-	done, err := s.pool.Submit(tenant, func() {
-		start := s.wallClock()
+	// blocks in Do, so the span mutations below are ordered by the job's
+	// completion, not concurrent with the handler's. The deferred
+	// finishes close the spans even if the replay panics.
+	submitTS := s.clock()
+	err = s.pool.Do(tenant, func() {
+		start := s.clock()
 		rt.queueWaitUS = start - submitTS
 		qw := rt.root.StartChildAt("queue-wait", submitTS)
 		qw.FinishAt(start)
 		worker := rt.root.StartChildAt("shard-worker", start)
+		defer worker.Finish()
 		worker.SetAttr("shard", fmt.Sprintf("%d", rt.shard))
 		rep := worker.StartChild("replay")
-		out, runErr = computeOutcome(tr, names, cfg)
-		rep.Finish()
-		worker.Finish()
+		defer rep.Finish()
+		body, runErr = computeBody(tr, names, cfg, hash, text)
 	})
+	var panicked *PanicError
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
@@ -405,12 +408,18 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		rt.status = http.StatusServiceUnavailable
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
+	case errors.As(err, &panicked):
+		traceID := rt.tr.TraceID().String()
+		s.log.Error("replay panicked", "trace_id", traceID, "trace", tr.ID,
+			"panic", fmt.Sprint(panicked.Value), "stack", string(panicked.Stack))
+		rt.status = http.StatusInternalServerError
+		http.Error(w, "replay panicked; trace_id "+traceID, http.StatusInternalServerError)
+		return
 	case err != nil:
 		rt.status = http.StatusInternalServerError
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	<-done
 	if runErr != nil {
 		s.log.Error("replay failed", "trace", tr.ID, "err", runErr)
 		rt.status = http.StatusInternalServerError
@@ -418,25 +427,24 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !req.NoCache {
-		s.cache.Put(key, out)
+		s.cache.Put(key, body)
 	}
 	render := rt.root.StartChild("render")
-	s.respond(w, r, out, "miss")
+	respond(w, body, text, "miss")
 	render.Finish()
 }
 
-// respond writes one precomputed outcome; ?format=text selects the
-// canonical text rendering (byte-identical to scord-replay's sections),
-// anything else the JSON body. X-Scord-Cache reports hit or miss.
-func (s *Server) respond(w http.ResponseWriter, r *http.Request, out *outcome, cache string) {
+// respond writes one rendered body: the canonical text rendering
+// (byte-identical to scord-replay's sections) for ?format=text, the JSON
+// body otherwise. X-Scord-Cache reports hit or miss.
+func respond(w http.ResponseWriter, body []byte, text bool, cache string) {
 	w.Header().Set("X-Scord-Cache", cache)
-	if r.URL.Query().Get("format") == "text" {
+	if text {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write(out.textBody)
-		return
+	} else {
+		w.Header().Set("Content-Type", "application/json")
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(out.jsonBody)
+	w.Write(body)
 }
 
 // detectorList canonicalizes a request's detector field: "all" (or
@@ -466,21 +474,22 @@ type detectorResult struct {
 	Provenance []core.Evidence `json:"provenance,omitempty"`
 }
 
-// computeOutcome replays tr under every named detector and renders both
-// response bodies. It runs on a pool worker; everything it touches is
-// either immutable (tr.Raw) or freshly built per call, so any number of
-// outcomes compute concurrently.
-func computeOutcome(tr *Trace, names []string, cfg config.Config) (*outcome, error) {
-	rd, err := tracefile.NewReader(bytes.NewReader(tr.Raw))
-	if err != nil {
-		return nil, err
-	}
-	ops, err := replay.ReadAll(rd)
-	if err != nil {
-		return nil, err
-	}
+// replayBody is the JSON body. Its fields are in the order their names
+// sort.
+type replayBody struct {
+	ConfigHash uint64           `json:"config_hash"`
+	Detectors  []detectorResult `json:"detectors"`
+	Trace      string           `json:"trace"`
+}
+
+// computeBody replays tr under every named detector and renders the one
+// body a request asked for: each result's WriteText when text is set,
+// else the JSON body, whose config_hash is hash. It runs on a pool
+// worker; everything it touches is either immutable (tr) or freshly
+// built per call, so any number of bodies compute concurrently.
+func computeBody(tr *Trace, names []string, cfg config.Config, hash uint64, text bool) ([]byte, error) {
 	var (
-		text    bytes.Buffer
+		buf     bytes.Buffer
 		results []detectorResult
 	)
 	for _, name := range names {
@@ -488,19 +497,21 @@ func computeOutcome(tr *Trace, names []string, cfg config.Config) (*outcome, err
 		if err != nil {
 			return nil, err
 		}
-		// The real detector captures verdict provenance so the JSON body
-		// can carry each race's evidence; enabling capture never changes
-		// detection results, so the text body stays byte-identical to
-		// the offline CLI's.
+		// The real detector captures verdict provenance for the JSON
+		// body's evidence. Capture never changes detection results, so a
+		// text body, which carries no evidence, skips it.
 		sc, isScoRD := t.(*replay.ScoRD)
-		if isScoRD {
+		if isScoRD && !text {
 			sc.EnableProvenance()
 		}
-		res, err := replay.RunOps(rd.Header(), ops, t)
+		res, err := replay.RunOps(tr.Header, tr.ops, t)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		res.WriteText(&text)
+		if text {
+			res.WriteText(&buf)
+			continue
+		}
 		races := make([]string, 0, len(res.Races))
 		for _, rec := range res.Races {
 			races = append(races, res.DescribeRecord(rec))
@@ -521,15 +532,10 @@ func computeOutcome(tr *Trace, names []string, cfg config.Config) (*outcome, err
 		}
 		results = append(results, dr)
 	}
-	jsonBody, err := json.Marshal(map[string]any{
-		"trace":       tr.ID,
-		"config_hash": tracefile.HashConfig(cfg),
-		"detectors":   results,
-	})
-	if err != nil {
-		return nil, err
+	if text {
+		return buf.Bytes(), nil
 	}
-	return &outcome{jsonBody: jsonBody, textBody: text.Bytes()}, nil
+	return json.Marshal(replayBody{ConfigHash: hash, Detectors: results, Trace: tr.ID})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

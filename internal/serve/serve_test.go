@@ -316,6 +316,21 @@ func TestReplayMatchesOfflineAndCaches(t *testing.T) {
 		t.Errorf("cache counters hits=%d misses=%d, want 1/1", hits, misses)
 	}
 
+	// The body format is part of the key: the JSON body of the same
+	// replay is a miss, then a hit of its own.
+	resp, jsonMiss := postReplay(t, ts, "", req)
+	if got := resp.Header.Get("X-Scord-Cache"); got != "miss" {
+		t.Errorf("JSON replay after text X-Scord-Cache = %q, want miss", got)
+	}
+	if !json.Valid(jsonMiss) {
+		t.Errorf("JSON replay body is not JSON: %s", jsonMiss)
+	}
+	resp, jsonHit := postReplay(t, ts, "", req)
+	if got := resp.Header.Get("X-Scord-Cache"); got != "hit" || !bytes.Equal(jsonHit, jsonMiss) {
+		t.Errorf("second JSON replay X-Scord-Cache = %q, same bytes %v; want a hit with the miss's bytes",
+			got, bytes.Equal(jsonHit, jsonMiss))
+	}
+
 	// A mode override is a different config hash — a miss, not a hit.
 	resp, _ = postReplay(t, ts, "?format=text", replayRequest{Trace: id, Detector: "all", Mode: "gran8"})
 	if got := resp.Header.Get("X-Scord-Cache"); got != "miss" {
@@ -395,7 +410,7 @@ func TestReplayBackpressure429(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	if _, err := s.Pool().Submit("default", func() {
+	if _, err := s.Pool().submit("default", func() {
 		close(started)
 		<-release
 	}); err != nil {
@@ -436,7 +451,7 @@ func TestGracefulDrain(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	if _, err := s.Pool().Submit("default", func() {
+	if _, err := s.Pool().submit("default", func() {
 		close(started)
 		<-release
 	}); err != nil {
@@ -628,5 +643,70 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached within deadline")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestReplayPanicIs500: a replay job that panics, here on an access
+// beyond the arena that only a trace placed past upload validation can
+// carry, gets 500 naming the request's trace_id. The panic is counted in
+// /metrics, /healthz stays ok, and the next replay on the same single
+// worker succeeds.
+func TestReplayPanicIs500(t *testing.T) {
+	s, ts := newTestServer(t, Config{Shards: 1, WorkersPerShard: 1})
+	id := upload(t, ts, traceBytes(t))
+	good, _ := s.Store().Get(id)
+	bad := *good
+	bad.ID = strings.Repeat("f", 64)
+	bad.ops = append(append([]tracefile.Op{}, good.ops...), tracefile.Op{
+		Kind: tracefile.OpAccess, Access: core.Access{Kind: core.KindStore, Addr: 1 << 40}})
+	s.store.mu.Lock()
+	s.store.traces[bad.ID] = &bad
+	s.store.mu.Unlock()
+
+	const clientTrace = "5bf92f3577b34da6a3ce929d0e0e4736"
+	body, _ := json.Marshal(replayRequest{Trace: bad.ID, Detector: "scord"})
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/replay?format=text", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("traceparent", "00-"+clientTrace+"-00f067aa0ba902b7-01")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(msg), "trace_id "+clientTrace) {
+		t.Errorf("panicking replay = %d %q, want 500 naming trace_id %s", resp.StatusCode, msg, clientTrace)
+	}
+
+	hresp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, hresp.Body)
+	hresp.Body.Close()
+	if hresp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after a contained panic = %d, want 200", hresp.StatusCode)
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if !strings.Contains(string(scrape), "\nscord_serve_jobs_panicked_total 1\n") {
+		t.Errorf("/metrics lacks scord_serve_jobs_panicked_total 1")
+	}
+	// The deferred finishes closed the panicked job's spans.
+	byName := map[string]bool{}
+	for _, sp := range spanTree(t, ts.URL, clientTrace).Spans {
+		byName[sp.Name] = true
+	}
+	if !byName["shard-worker"] || !byName["replay"] {
+		t.Errorf("panicked request's span tree lacks its worker spans: %v", byName)
+	}
+	if resp, body := postReplay(t, ts, "?format=text", replayRequest{Trace: id, Detector: "all", NoCache: true}); resp.StatusCode != http.StatusOK {
+		t.Errorf("replay after the panic = %d (%s), want 200", resp.StatusCode, body)
 	}
 }

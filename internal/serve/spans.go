@@ -15,12 +15,13 @@ import (
 // SpanStore retains the wall-clock span trees of recent requests, keyed
 // by trace ID, so an exemplar trace ID scraped from /metrics (or a
 // traceparent echoed to a client) resolves to the request's full span
-// tree via GET /v1/spans?trace=<id>. The store is bounded FIFO: past
+// tree via GET /v1/spans?trace=<id>. A tree is kept as its finished
+// tracer and serialized only when read. The store is bounded FIFO: past
 // cap entries the oldest trace is evicted — it is a debugging window,
 // not an archive.
 type SpanStore struct {
 	mu      sync.Mutex
-	traces  map[string][]byte
+	traces  map[string]*tracing.Tracer
 	order   []string
 	cap     int
 	evicted int64
@@ -31,16 +32,18 @@ func NewSpanStore(cap int) *SpanStore {
 	if cap < 1 {
 		cap = 1
 	}
-	return &SpanStore{traces: map[string][]byte{}, cap: cap}
+	return &SpanStore{traces: map[string]*tracing.Tracer{}, cap: cap}
 }
 
-// Put stores one trace's span JSON, evicting the oldest past the cap.
-// Re-putting an existing trace ID replaces its body in place.
-func (ss *SpanStore) Put(traceID string, spanJSON []byte) {
+// Put stores one request's finished span tree under its trace ID,
+// evicting the oldest past the cap. Re-putting an existing trace ID
+// replaces its tree in place. Nothing may change tr afterwards.
+func (ss *SpanStore) Put(tr *tracing.Tracer) {
+	traceID := tr.TraceID().String()
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if _, ok := ss.traces[traceID]; ok {
-		ss.traces[traceID] = spanJSON
+		ss.traces[traceID] = tr
 		return
 	}
 	for len(ss.order) >= ss.cap {
@@ -48,16 +51,25 @@ func (ss *SpanStore) Put(traceID string, spanJSON []byte) {
 		ss.order = ss.order[1:]
 		ss.evicted++
 	}
-	ss.traces[traceID] = spanJSON
+	ss.traces[traceID] = tr
 	ss.order = append(ss.order, traceID)
 }
 
-// Get returns the stored span JSON for a trace ID.
+// Get renders the span tree stored for a trace ID as span JSON
+// (tracing.Tracer.WriteJSON). Rendering holds the store's lock, so
+// concurrent reads of one tree never race.
 func (ss *SpanStore) Get(traceID string) ([]byte, bool) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	b, ok := ss.traces[traceID]
-	return b, ok
+	tr, ok := ss.traces[traceID]
+	if !ok {
+		return nil, false
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		return nil, false
+	}
+	return buf.Bytes(), true
 }
 
 // Len returns the stored trace count.
@@ -142,7 +154,7 @@ func (s *Server) beginTrace(w http.ResponseWriter, r *http.Request, name string)
 	} else {
 		traceID = mintTraceID()
 	}
-	rt.tr = tracing.New(tracing.ClockWall, traceID, s.wallClock)
+	rt.tr = tracing.New(tracing.ClockWall, traceID, s.clock)
 	if rt.propagated {
 		rt.root = rt.tr.StartRootUnder(parent, name)
 	} else {
@@ -160,10 +172,7 @@ func (s *Server) beginTrace(w http.ResponseWriter, r *http.Request, name string)
 func (s *Server) finishTrace(rt *requestTrace, hist *obs.Histogram, msg string) {
 	rt.root.Finish()
 	durUS := rt.root.EndTime() - rt.root.Start()
-	var buf bytes.Buffer
-	if err := rt.tr.WriteJSON(&buf); err == nil {
-		s.spans.Put(rt.tr.TraceID().String(), buf.Bytes())
-	}
+	s.spans.Put(rt.tr)
 	hist.Observe(float64(durUS)/1e6, rt.tr.TraceID().String())
 	s.log.Info(msg,
 		"trace_id", rt.tr.TraceID().String(),

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"scord/internal/core"
@@ -252,25 +254,81 @@ func TestMetricsExemplars(t *testing.T) {
 // TestSpanStoreBounded: the FIFO store never exceeds its cap and evicts
 // oldest-first.
 func TestSpanStoreBounded(t *testing.T) {
+	tree := func(trace, root string) *tracing.Tracer {
+		tr := tracing.New(tracing.ClockWall, tracing.DeriveTraceID(trace), func() uint64 { return 7 })
+		tr.StartRoot(root).Finish()
+		return tr
+	}
+	id := func(trace string) string { return tracing.DeriveTraceID(trace).String() }
+	render := func(tr *tracing.Tracer) []byte {
+		var buf bytes.Buffer
+		if err := tr.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
 	ss := NewSpanStore(2)
-	ss.Put("a", []byte("1"))
-	ss.Put("b", []byte("2"))
-	ss.Put("c", []byte("3"))
+	ss.Put(tree("a", "1"))
+	ss.Put(tree("b", "2"))
+	c := tree("c", "3")
+	ss.Put(c)
 	if ss.Len() != 2 {
 		t.Fatalf("len = %d, want 2", ss.Len())
 	}
-	if _, ok := ss.Get("a"); ok {
+	if _, ok := ss.Get(id("a")); ok {
 		t.Error("oldest trace not evicted")
 	}
-	if b, ok := ss.Get("c"); !ok || !bytes.Equal(b, []byte("3")) {
+	if b, ok := ss.Get(id("c")); !ok || !bytes.Equal(b, render(c)) {
 		t.Error("newest trace missing")
 	}
 	// Replacing in place neither grows nor evicts.
-	ss.Put("b", []byte("2b"))
+	b2 := tree("b", "2b")
+	if bytes.Equal(render(b2), render(tree("b", "2"))) {
+		t.Fatal("replacement renders like the tree it replaces")
+	}
+	ss.Put(b2)
 	if ss.Len() != 2 {
 		t.Fatalf("len after replace = %d", ss.Len())
 	}
-	if b, _ := ss.Get("b"); !bytes.Equal(b, []byte("2b")) {
+	if b, _ := ss.Get(id("b")); !bytes.Equal(b, render(b2)) {
 		t.Error("replace did not update body")
 	}
+}
+
+// TestConcurrentSpanReads: goroutines reading one stored span tree while
+// other requests store theirs all get the same bytes; under -race
+// nothing races, since a tree is rendered only when read.
+func TestConcurrentSpanReads(t *testing.T) {
+	s := New(Config{Shards: 1, WorkersPerShard: 1})
+	t.Cleanup(s.Drain)
+	h := s.Handler()
+	raw := traceBytes(t)
+	if rec := serveDirect(h, http.MethodPost, "/v1/traces", raw); rec.Code != http.StatusOK {
+		t.Fatalf("upload status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	body := []byte(`{"trace":"` + contentID(raw) + `","detector":"scord","no_cache":true}`)
+	const trace = "6bf92f3577b34da6a3ce929d0e0e4736"
+	req := httptest.NewRequest(http.MethodPost, "/v1/replay?format=text", bytes.NewReader(body))
+	req.Header.Set("traceparent", "00-"+trace+"-00f067aa0ba902b7-01")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("replay status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	want := serveDirect(h, http.MethodGet, "/v1/spans?trace="+trace, nil).Body.Bytes()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				serveDirect(h, http.MethodPost, "/v1/replay?format=text", body)
+				got := serveDirect(h, http.MethodGet, "/v1/spans?trace="+trace, nil)
+				if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want) {
+					t.Errorf("concurrent /v1/spans read = %d, same bytes %v", got.Code, bytes.Equal(got.Body.Bytes(), want))
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

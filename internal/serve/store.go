@@ -10,6 +10,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"scord/internal/analysis/predict"
 	"scord/internal/tracefile"
@@ -19,78 +20,96 @@ import (
 // byte budget.
 var ErrStoreFull = errors.New("serve: trace store full")
 
-// Trace is one validated, content-addressed upload. Raw is immutable
-// after Put; replay jobs decode it concurrently without copying.
+// opBytes is what one decoded op costs the store's byte budget.
+const opBytes = int64(unsafe.Sizeof(tracefile.Op{}))
+
+// traceCost is what a trace of n ops encoded in raw costs the store's byte
+// budget: its decoded ops, plus its raw length, which bounds the strings
+// they point at. The reader copies each interned string out of the raw
+// bytes once, so sites and names cannot hold more than raw did.
+func traceCost(n int, raw []byte) int64 { return int64(n)*opBytes + int64(len(raw)) }
+
+// Trace is one validated, content-addressed upload, decoded once at
+// admission. ops is immutable after Put: replay jobs only read it, so
+// any number of them share the one copy.
 type Trace struct {
 	// ID is the lowercase hex SHA-256 of the raw trace bytes — the
 	// content address clients replay by, and the first half of every
 	// result-cache key.
 	ID     string
-	Raw    []byte
 	Header tracefile.Header
+	ops    []tracefile.Op
 
-	// Ops, Accesses and Kernels summarize what upload validation decoded.
+	// RawBytes is the upload's encoded length. Ops, Accesses and Kernels
+	// summarize what upload validation decoded.
+	RawBytes               int
 	Ops, Accesses, Kernels int
 }
 
-// Store holds uploaded traces in memory, keyed by content hash. Every
-// upload is fully decoded before admission — block CRCs, varint shapes
-// and the end-block counts all verified by tracefile.Reader — so a trace
-// in the store is replayable by construction. Identical bytes dedupe to
-// one entry.
+// Store holds uploaded traces in memory, decoded, keyed by content hash.
+// Every upload is fully validated before admission — block CRCs, varint
+// shapes and the end-block counts all verified by tracefile.Reader — so
+// a trace in the store is replayable by construction. Identical bytes
+// dedupe to one entry. The byte budget bounds what the store holds: the
+// decoded ops and the strings they point at (traceCost).
 type Store struct {
 	mu       sync.Mutex
 	maxBytes int64
-	used     int64
+	used     int64 // cost of the traces held, plus that of uploads being decoded
 	traces   map[string]*Trace
+	pending  map[string]chan struct{} // uploads being decoded; closed when done
 
 	uploads  atomic.Int64 // validated non-duplicate admissions
 	dups     atomic.Int64 // uploads deduped against an existing entry
 	rejected atomic.Int64 // corrupt or over-budget uploads
 }
 
-// NewStore returns a store admitting up to maxBytes of raw trace data.
+// NewStore returns a store admitting traces up to a total traceCost of
+// maxBytes.
 func NewStore(maxBytes int64) *Store {
-	return &Store{maxBytes: maxBytes, traces: map[string]*Trace{}}
+	return &Store{maxBytes: maxBytes, traces: map[string]*Trace{}, pending: map[string]chan struct{}{}}
 }
 
 // maxBlocks bounds the block IDs an upload may use, far above the widest
 // grid the suite records (RED, 32 blocks).
 const maxBlocks = 1024
 
-// Validate decodes an entire trace stream, returning its header and op
-// counts, or the decoding error. It is the single admission gate for
-// uploaded bytes: it also rejects a header whose configuration a device
-// could not run with, or whose arena exceeds the 1 GB bound predict
-// applies by default. Each metadata-backed model sizes its page directory
-// by the arena, so a header claiming 1 TB would cost 4 GB per model on
-// every replay. It also rejects any access, fence or barrier of a block
-// at or beyond maxBlocks: every detector-backed model grows a 32-byte
-// lock table per warp up to the largest block ID it sees, so one store
-// at block 2^31 would ask each model for 4 TiB, an out-of-memory crash no
-// recover contains.
-func Validate(r io.Reader) (h tracefile.Header, ops, accesses, kernels int, err error) {
-	tr, err := tracefile.NewReader(r)
+// openTrace opens an upload for decoding, through the header half of the
+// admission gate: tracefile.NewReader's preamble and config-hash checks,
+// and a refusal of any configuration a device could not run with, or whose
+// arena exceeds the 1 GB bound predict applies by default. Each
+// metadata-backed model sizes its page directory by the arena, so a header
+// claiming 1 TB would cost 4 GB per model on every replay.
+func openTrace(raw []byte) (*tracefile.Reader, error) {
+	rd, err := tracefile.NewReader(bytes.NewReader(raw))
 	if err != nil {
-		return tracefile.Header{}, 0, 0, 0, err
+		return nil, err
 	}
-	cfg := tr.Header().Config
+	cfg := rd.Header().Config
 	if err := cfg.Validate(); err != nil {
-		return tracefile.Header{}, 0, 0, 0, err
+		return nil, err
 	}
 	if cfg.DeviceMemBytes > predict.DefaultMaxMemBytes {
-		return tracefile.Header{}, 0, 0, 0, fmt.Errorf("serve: header declares a %d-byte device arena, limit %d",
+		return nil, fmt.Errorf("serve: header declares a %d-byte device arena, limit %d",
 			cfg.DeviceMemBytes, predict.DefaultMaxMemBytes)
 	}
-	for {
-		op, err := tr.Next()
-		if err == io.EOF {
-			return tr.Header(), ops, accesses, kernels, nil
-		}
-		if err != nil {
-			return tracefile.Header{}, 0, 0, 0, err
-		}
-		ops++
+	return rd, nil
+}
+
+// readOps is the op half of the admission gate. It decodes the rest of
+// the trace, through every check tracefile.Reader makes (block CRCs,
+// varint shapes, arena bounds, the end block's counts), and refuses any
+// access, fence or barrier of a block at or beyond maxBlocks: every
+// detector-backed model grows a 32-byte lock table per warp up to the
+// largest block ID it sees, so one store at block 2^31 would ask each
+// model for 4 TiB, an out-of-memory crash no recover contains.
+func readOps(rd *tracefile.Reader) (ops []tracefile.Op, accesses, kernels int, err error) {
+	ops, err = rd.ReadAll()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	for i := range ops {
+		op := &ops[i]
 		block := 0
 		switch op.Kind {
 		case tracefile.OpAccess:
@@ -102,36 +121,72 @@ func Validate(r io.Reader) (h tracefile.Header, ops, accesses, kernels int, err 
 			kernels++
 		}
 		if block >= maxBlocks {
-			return tracefile.Header{}, 0, 0, 0, fmt.Errorf("serve: op %d is on block %d, limit %d blocks", ops-1, block, maxBlocks)
+			return nil, 0, 0, fmt.Errorf("serve: op %d is on block %d, limit %d blocks", i, block, maxBlocks)
 		}
 	}
+	return ops, accesses, kernels, nil
 }
 
 // Put validates and admits raw as a trace. It returns the stored (or
 // pre-existing identical) trace and whether this upload was a duplicate.
+// A duplicate costs nothing, also while its twin is still being decoded:
+// it waits for the twin instead of being charged a second time. An upload
+// is decoded once, after the budget has been charged with the op count
+// its end block declares: ReadAll allocates no more ops than that, and
+// decodes exactly that many from a valid trace. So an upload whose
+// decoded ops would not fit is refused before they are allocated.
 func (st *Store) Put(raw []byte) (tr *Trace, dup bool, err error) {
-	h, ops, accesses, kernels, err := Validate(bytes.NewReader(raw))
+	rd, err := openTrace(raw)
 	if err != nil {
 		st.rejected.Add(1)
 		return nil, false, err
 	}
 	sum := sha256.Sum256(raw)
 	id := hex.EncodeToString(sum[:])
+	cost := traceCost(tracefile.DeclaredOps(raw), raw)
+
+	st.mu.Lock()
+	for {
+		if existing, ok := st.traces[id]; ok {
+			st.mu.Unlock()
+			st.dups.Add(1)
+			return existing, true, nil
+		}
+		twin, ok := st.pending[id]
+		if !ok {
+			break
+		}
+		st.mu.Unlock()
+		<-twin
+		st.mu.Lock()
+	}
+	if st.used+cost > st.maxBytes {
+		used := st.used
+		st.mu.Unlock()
+		st.rejected.Add(1)
+		return nil, false, fmt.Errorf("%w: %d bytes stored, upload costs %d bytes, budget %d",
+			ErrStoreFull, used, cost, st.maxBytes)
+	}
+	// Reserve the budget and mark the upload pending, then decode outside
+	// the lock: replays look traces up under it.
+	st.used += cost
+	done := make(chan struct{})
+	st.pending[id] = done
+	st.mu.Unlock()
+
+	ops, accesses, kernels, err := readOps(rd)
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if existing, ok := st.traces[id]; ok {
-		st.dups.Add(1)
-		return existing, true, nil
-	}
-	if st.used+int64(len(raw)) > st.maxBytes {
+	delete(st.pending, id)
+	close(done)
+	if err != nil {
+		st.used -= cost
 		st.rejected.Add(1)
-		return nil, false, fmt.Errorf("%w: %d bytes stored, %d-byte upload exceeds %d budget",
-			ErrStoreFull, st.used, len(raw), st.maxBytes)
+		return nil, false, err
 	}
-	tr = &Trace{ID: id, Raw: raw, Header: h, Ops: ops, Accesses: accesses, Kernels: kernels}
+	tr = &Trace{ID: id, Header: rd.Header(), ops: ops, RawBytes: len(raw), Ops: len(ops), Accesses: accesses, Kernels: kernels}
 	st.traces[id] = tr
-	st.used += int64(len(raw))
 	st.uploads.Add(1)
 	return tr, false, nil
 }
@@ -193,7 +248,7 @@ func (st *Store) WritePrometheus(w io.Writer) error {
 	st.mu.Unlock()
 	var b []byte
 	b = fmt.Appendf(b, "# HELP scord_serve_store_traces stored traces\n# TYPE scord_serve_store_traces gauge\nscord_serve_store_traces %d\n", count)
-	b = fmt.Appendf(b, "# HELP scord_serve_store_bytes raw trace bytes stored\n# TYPE scord_serve_store_bytes gauge\nscord_serve_store_bytes %d\n", used)
+	b = fmt.Appendf(b, "# HELP scord_serve_store_bytes bytes held against the store budget: 160 per decoded op plus each trace's raw length\n# TYPE scord_serve_store_bytes gauge\nscord_serve_store_bytes %d\n", used)
 	b = fmt.Appendf(b, "# HELP scord_serve_store_uploads_total validated uploads admitted\n# TYPE scord_serve_store_uploads_total counter\nscord_serve_store_uploads_total %d\n", st.uploads.Load())
 	b = fmt.Appendf(b, "# HELP scord_serve_store_dup_uploads_total uploads deduped by content hash\n# TYPE scord_serve_store_dup_uploads_total counter\nscord_serve_store_dup_uploads_total %d\n", st.dups.Load())
 	b = fmt.Appendf(b, "# HELP scord_serve_store_rejected_total corrupt or over-budget uploads\n# TYPE scord_serve_store_rejected_total counter\nscord_serve_store_rejected_total %d\n", st.rejected.Load())

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 	"strings"
 
 	"scord/internal/core"
@@ -106,9 +105,11 @@ func (r *Reader) Next() (Op, error) {
 // sixteenth of the decoded size), sizes the slice by the op count the end
 // block declares, and decodes each record in place through the same
 // checks Next applies, so it returns exactly the ops or the error a Next
-// loop would. A count larger than the remaining bytes could hold is
-// ignored and the slice grows as it decodes. After a valid trace
-// cap(ops) == len(ops); an empty remainder decodes to nil.
+// loop would. It never allocates room for more ops than that count (none
+// when the count is larger than the remaining bytes could hold): records
+// beyond it can only end in the end block's count error, so they are
+// decoded and counted but not kept. After a valid trace cap(ops) ==
+// len(ops); an empty remainder decodes to nil.
 func (r *Reader) ReadAll() ([]Op, error) {
 	if r.err != nil || r.done {
 		return nil, r.err
@@ -125,15 +126,22 @@ func (r *Reader) ReadAll() ([]Op, error) {
 	if n := r.remainingOps(rest); n > 0 {
 		ops = make([]Op, 0, n)
 	}
+	var extra Op
 	for {
 		if err := r.more(); err == io.EOF {
 			return ops, nil
 		} else if err != nil {
 			return nil, err
 		}
-		// Every slot past len(ops) is still zero, as decodeNext needs.
-		ops = slices.Grow(ops, 1)[:len(ops)+1]
-		if err := r.decodeNext(&ops[len(ops)-1]); err != nil {
+		op := &extra
+		if len(ops) < cap(ops) {
+			// Every slot past len(ops) is still zero, as decodeNext needs.
+			ops = ops[:len(ops)+1]
+			op = &ops[len(ops)-1]
+		} else {
+			extra = Op{}
+		}
+		if err := r.decodeNext(op); err != nil {
 			return nil, err
 		}
 	}
@@ -168,8 +176,29 @@ func (r *Reader) readRest() ([]byte, error) {
 // the frames break off before an end block, or when the count exceeds what
 // the unread bytes could hold at minRecordLen bytes per op.
 func (r *Reader) remainingOps(rest []byte) int {
-	unread := len(rest) + len(r.payload) - r.pos
-	for b := rest; len(b) > 0; {
+	return plausibleOps(rest, r.ops, len(rest)+len(r.payload)-r.pos)
+}
+
+// DeclaredOps returns the op count the end block of the encoded trace raw
+// declares, found by walking its block frames without checking them. It
+// returns 0 when the frames break off before an end block, or when raw
+// could not hold that many ops. ReadAll on a new Reader over raw never
+// allocates room for more ops than this, and decodes exactly this many
+// from a valid trace, so a caller can account for the decoded slice
+// before it exists.
+func DeclaredOps(raw []byte) int {
+	if len(raw) < len(magic)+1 {
+		return 0
+	}
+	frames := raw[len(magic)+1:]
+	return plausibleOps(frames, 0, len(frames))
+}
+
+// plausibleOps walks the block frames in b to the end block and returns
+// its op count less decoded, or 0 when there is no end block or the
+// remainder exceeds what unread bytes could hold.
+func plausibleOps(b []byte, decoded uint64, unread int) int {
+	for len(b) > 0 {
 		n, k := binary.Uvarint(b[1:])
 		if k <= 0 || n > maxBlockLen || n+4 > uint64(len(b)-1-k) {
 			return 0
@@ -177,10 +206,10 @@ func (r *Reader) remainingOps(rest []byte) int {
 		payload := b[1+k : 1+k+int(n)]
 		if b[0] == blockEnd {
 			want, _ := binary.Uvarint(payload)
-			if want < r.ops || want-r.ops > uint64(unread/minRecordLen) {
+			if want < decoded || want-decoded > uint64(unread/minRecordLen) {
 				return 0
 			}
-			return int(want - r.ops)
+			return int(want - decoded)
 		}
 		b = b[1+k+int(n)+4:]
 	}

@@ -129,7 +129,8 @@ func readAllOps(t *testing.T, raw []byte) (Header, []Op) {
 // its own Reader, and fails the test unless both give the same ops or the
 // same error: the same text and the same ErrCorrupt and
 // io.ErrUnexpectedEOF classes. A successful ReadAll must return an exactly
-// sized slice. decodeBoth returns the Next loop's header and result.
+// sized slice of DeclaredOps(raw) ops. decodeBoth returns the Next loop's
+// header and result.
 func decodeBoth(t testing.TB, raw []byte) (Header, []Op, error) {
 	t.Helper()
 	r, err := NewReader(bytes.NewReader(raw))
@@ -161,6 +162,8 @@ func decodeBoth(t testing.TB, raw []byte) (Header, []Op, error) {
 		t.Fatalf("ReadAll decoded %d ops, the Next loop %d, and they differ", len(all), len(ops))
 	case cap(all) != len(all):
 		t.Fatalf("ReadAll returned %d ops in a slice of capacity %d, want an exact allocation", len(all), cap(all))
+	case DeclaredOps(raw) != len(all):
+		t.Fatalf("DeclaredOps = %d for a trace of %d ops", DeclaredOps(raw), len(all))
 	}
 	return r.Header(), ops, err
 }
@@ -242,23 +245,13 @@ func TestCorruptionAlwaysErrors(t *testing.T) {
 // size its slice by a count the bytes could not hold.
 func TestHugeDeclaredOpCount(t *testing.T) {
 	raw, want := sampleTrace(t, 50)
-	end := func(ops uint64) []byte {
-		var buf bytes.Buffer
-		payload := binary.AppendUvarint(nil, ops)
-		payload = binary.AppendUvarint(payload, 1) // one kernel
-		if err := (&Writer{w: &buf}).writeBlock(blockEnd, payload); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	honest := end(uint64(len(want)))
-	if !bytes.HasSuffix(raw, honest) {
-		t.Fatal("sample trace does not end with the end block it declares")
-	}
-	bad := append(bytes.Clone(raw[:len(raw)-len(honest)]), end(1<<40)...)
+	bad := redeclare(t, raw, len(want), 1<<40)
 	if _, _, err := decodeBoth(t, bad); err == nil ||
 		!strings.Contains(err.Error(), "end block declares 1099511627776 ops") {
 		t.Fatalf("error %v, want the end block's op count rejected", err)
+	}
+	if n := DeclaredOps(bad); n != 0 {
+		t.Errorf("DeclaredOps = %d for a count the bytes could not hold, want 0", n)
 	}
 
 	r, err := NewReader(bytes.NewReader(bad))
@@ -274,6 +267,56 @@ func TestHugeDeclaredOpCount(t *testing.T) {
 	limit := uint64(len(bad)) * uint64(unsafe.Sizeof(Op{}))
 	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
 		t.Errorf("ReadAll allocated %d bytes for a %d-byte trace, want at most %d", got, len(bad), limit)
+	}
+}
+
+// redeclare returns sampleTrace's raw, whose n ops are one kernel, with
+// an end block that declares ops instead.
+func redeclare(t *testing.T, raw []byte, n int, ops uint64) []byte {
+	t.Helper()
+	end := func(ops uint64) []byte {
+		var buf bytes.Buffer
+		payload := binary.AppendUvarint(nil, ops)
+		payload = binary.AppendUvarint(payload, 1) // one kernel
+		if err := (&Writer{w: &buf}).writeBlock(blockEnd, payload); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	honest := end(uint64(n))
+	if !bytes.HasSuffix(raw, honest) {
+		t.Fatal("sample trace does not end with the end block it declares")
+	}
+	return append(bytes.Clone(raw[:len(raw)-len(honest)]), end(ops)...)
+}
+
+// TestUnderDeclaredOpCount: an end block that declares fewer ops than the
+// stream holds fails the count check as it always has, DeclaredOps
+// reports the declared count, and ReadAll allocates no op beyond it.
+func TestUnderDeclaredOpCount(t *testing.T) {
+	raw, want := sampleTrace(t, 20000)
+	bad := redeclare(t, raw, len(want), 1)
+	if _, _, err := decodeBoth(t, bad); err == nil ||
+		!strings.Contains(err.Error(), "end block declares 1 ops") {
+		t.Fatalf("error %v, want the end block's op count rejected", err)
+	}
+	if n := DeclaredOps(bad); n != 1 {
+		t.Errorf("DeclaredOps = %d, want the declared 1", n)
+	}
+
+	r, err := NewReader(bytes.NewReader(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r.ReadAll()
+	runtime.ReadMemStats(&after)
+	// The encoded bytes, copied once, and their strings: the ops slice of
+	// the undeclared records alone would take 3 MB.
+	limit := 2 * uint64(len(bad))
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("ReadAll allocated %d bytes for a %d-byte trace declaring 1 op, want at most %d", got, len(bad), limit)
 	}
 }
 
