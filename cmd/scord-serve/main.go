@@ -85,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers   = fs.Int("workers", 2, "replay workers per shard")
 		queue     = fs.Int("queue", 64, "queued jobs per shard before 429 backpressure")
 		maxUpload = fs.Int64("max-upload-bytes", 64<<20, "largest accepted trace upload")
-		maxStore  = fs.Int64("max-store-bytes", 256<<20, "trace store budget: 160 bytes per decoded op plus each trace's raw length")
+		maxStore  = fs.Int64("max-store-bytes", 256<<20, "trace store budget: 80 bytes per decoded op, 56 per kernel, alloc or barrier payload, plus each trace's raw length")
 		cacheN    = fs.Int("cache", 256, "replay bodies kept in the result cache")
 
 		loadtest   = fs.Bool("loadtest", false, "run the built-in load test against this process and exit")

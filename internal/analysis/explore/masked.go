@@ -84,13 +84,13 @@ func MaskedRaceExample() (tracefile.Header, []tracefile.Op) {
 		}
 	}
 	fence := func(warp int) tracefile.Op {
-		return tracefile.Op{Kind: tracefile.OpFence, Warp: warp, Scope: core.ScopeDevice}
+		return tracefile.Op{Kind: tracefile.OpFence, Access: core.Access{Warp: warp, Scope: core.ScopeDevice}}
 	}
 
 	ops := []tracefile.Op{
-		{Kind: tracefile.OpAlloc, Name: "m.locks", Base: uint64(locksBase), Bytes: 2 * mem.WordBytes},
-		{Kind: tracefile.OpAlloc, Name: "m.data", Base: uint64(dataBase), Bytes: uint64(3+2*fillersPerGap) * mem.WordBytes},
-		{Kind: tracefile.OpKernel, Name: "masked", Blocks: 1, Threads: 11 * 32},
+		{Kind: tracefile.OpAlloc, Control: &tracefile.Control{Name: "m.locks", Base: uint64(locksBase), Bytes: 2 * mem.WordBytes}},
+		{Kind: tracefile.OpAlloc, Control: &tracefile.Control{Name: "m.data", Base: uint64(dataBase), Bytes: uint64(3+2*fillersPerGap) * mem.WordBytes}},
+		{Kind: tracefile.OpKernel, Control: &tracefile.Control{Name: "masked", Blocks: 1, Threads: 11 * 32}},
 	}
 	// Lock acquisition: CAS then a device fence activates the lock-table
 	// entry, so the subsequent stores carry the blooms above.
@@ -115,6 +115,6 @@ func MaskedRaceExample() (tracefile.Header, []tracefile.Op) {
 	gap()
 	ops = append(ops, store(2, wallX)) // wall: pins C's backward walk
 	ops = append(ops, store(2, wordW)) // C, bloom {M}
-	ops = append(ops, tracefile.Op{Kind: tracefile.OpKernelEnd, Name: "masked"})
+	ops = append(ops, tracefile.Op{Kind: tracefile.OpKernelEnd, Control: &tracefile.Control{Name: "masked"}})
 	return h, ops
 }

@@ -134,7 +134,7 @@ func synthTrace(seed int64, its, acqrel bool) (tracefile.Header, []tracefile.Op)
 		bytes uint64
 	}{{"locks", 256}, {"data", 1 << 20}} {
 		base := uint64(mm.Alloc(al.name, al.bytes))
-		ops = append(ops, tracefile.Op{Kind: tracefile.OpAlloc, Name: al.name, Base: base, Bytes: al.bytes})
+		ops = append(ops, tracefile.Op{Kind: tracefile.OpAlloc, Control: &tracefile.Control{Name: al.name, Base: base, Bytes: al.bytes}})
 		// Four words at the allocation's start and four in each of two
 		// pages further in, when it has them.
 		for _, off := range []uint64{0, 5 << 12, 200 << 12} {
@@ -152,16 +152,16 @@ func synthTrace(seed int64, its, acqrel bool) (tracefile.Header, []tracefile.Op)
 	atomics := []core.AtomicOp{core.AtomicOther, core.AtomicCAS, core.AtomicExch,
 		core.AtomicMaxOp, core.AtomicAcquire, core.AtomicRelease}
 	for k := 0; k < 6; k++ {
-		ops = append(ops, tracefile.Op{Kind: tracefile.OpKernel, Name: "k", Blocks: blocks, Threads: warps * 32})
+		ops = append(ops, tracefile.Op{Kind: tracefile.OpKernel, Control: &tracefile.Control{Name: "k", Blocks: blocks, Threads: warps * 32}})
 		for n := 0; n < 600; n++ {
 			cycle += uint64(1 + rng.Intn(8))
 			block, warp := rng.Intn(blocks), rng.Intn(warps)
 			scope := core.Scope(rng.Intn(2))
 			switch r := rng.Intn(30); {
 			case r == 0:
-				ops = append(ops, tracefile.Op{Kind: tracefile.OpBarrier, Block: block, Warps: warps, Cycle: cycle})
+				ops = append(ops, tracefile.Op{Kind: tracefile.OpBarrier, Access: core.Access{Block: block, Cycle: cycle}, Control: &tracefile.Control{Warps: warps}})
 			case r <= 2:
-				ops = append(ops, tracefile.Op{Kind: tracefile.OpFence, Block: block, Warp: warp, Scope: scope, Cycle: cycle})
+				ops = append(ops, tracefile.Op{Kind: tracefile.OpFence, Access: core.Access{Block: block, Warp: warp, Scope: scope, Cycle: cycle}})
 			default:
 				acc := core.Access{
 					Kind:     core.AccessKind(rng.Intn(3)),
@@ -182,7 +182,7 @@ func synthTrace(seed int64, its, acqrel bool) (tracefile.Header, []tracefile.Op)
 				ops = append(ops, tracefile.Op{Kind: tracefile.OpAccess, Access: acc, AtomicOp: aop, Size: 4})
 			}
 		}
-		ops = append(ops, tracefile.Op{Kind: tracefile.OpKernelEnd, Name: "k", Cycle: cycle})
+		ops = append(ops, tracefile.Op{Kind: tracefile.OpKernelEnd, Control: &tracefile.Control{Name: "k"}, Access: core.Access{Cycle: cycle}})
 	}
 	return h, ops
 }

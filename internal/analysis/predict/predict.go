@@ -189,8 +189,9 @@ type analysis struct {
 	its    bool
 	acqrel bool
 
-	ff     core.FenceFile
-	phases []uint64 // block -> barrier phase
+	ff           core.FenceFile
+	phases       []uint64 // block -> barrier phase
+	phaseTouched []int    // blocks whose phase advanced since the last reset
 
 	// Lock tables, made per block on first use and reset like the word
 	// index: a fence on block 65,535 costs one block's tables.
@@ -317,7 +318,10 @@ func (a *analysis) resetForKernel() {
 		a.locks[b] = nil
 	}
 	a.lockTouched = a.lockTouched[:0]
-	clear(a.phases)
+	for _, b := range a.phaseTouched {
+		a.phases[b] = 0
+	}
+	a.phaseTouched = a.phaseTouched[:0]
 	for _, pi := range a.touched {
 		p := a.dir[pi]
 		clear(p[:])
@@ -345,6 +349,9 @@ func (a *analysis) barrier(block int) {
 	}
 	if block >= len(a.phases) {
 		a.phases = append(a.phases, make([]uint64, block+1-len(a.phases))...)
+	}
+	if a.phases[block] == 0 {
+		a.phaseTouched = append(a.phaseTouched, block)
 	}
 	a.phases[block]++
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"scord/internal/analysis/predict"
 	"scord/internal/config"
@@ -205,7 +206,7 @@ func TestRejectsHostileOps(t *testing.T) {
 		}
 		return out
 	}
-	want, err := predict.Run(h, with(tracefile.Op{Kind: tracefile.OpKernelEnd, Name: "k"}), predict.Options{})
+	want, err := predict.Run(h, with(tracefile.Op{Kind: tracefile.OpKernelEnd, Control: &tracefile.Control{Name: "k"}}), predict.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestRejectsHostileOps(t *testing.T) {
 		t.Fatal("no predictions to compare")
 	}
 	for _, block := range []int{-1, 1 << 20, math.MaxInt} {
-		got, err := predict.Run(h, with(tracefile.Op{Kind: tracefile.OpBarrier, Block: block, Warps: 4}), predict.Options{})
+		got, err := predict.Run(h, with(tracefile.Op{Kind: tracefile.OpBarrier, Access: core.Access{Block: block}, Control: &tracefile.Control{Warps: 4}}), predict.Options{})
 		if err != nil {
 			t.Fatalf("barrier on block %d: %v", block, err)
 		}
@@ -229,8 +230,8 @@ func TestRejectsHostileOps(t *testing.T) {
 func TestFenceOnHighBlockAllocs(t *testing.T) {
 	h := tracefile.NewHeader("high-block", nil, config.Default())
 	ops := []tracefile.Op{
-		{Kind: tracefile.OpKernel, Name: "k", Blocks: 65536, Threads: 32},
-		{Kind: tracefile.OpFence, Block: 65535, Scope: core.ScopeDevice},
+		{Kind: tracefile.OpKernel, Control: &tracefile.Control{Name: "k", Blocks: 65536, Threads: 32}},
+		{Kind: tracefile.OpFence, Access: core.Access{Block: 65535, Scope: core.ScopeDevice}},
 	}
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -247,5 +248,46 @@ func TestFenceOnHighBlockAllocs(t *testing.T) {
 	t.Logf("%d bytes allocated", alloc)
 	if alloc >= 1<<20 {
 		t.Errorf("predict.Run allocated %d bytes for a fence on block 65,535, want under 1 MB", alloc)
+	}
+}
+
+// TestBarrierOnHighBlockLaunches: a launch clears only the barrier phases
+// of the blocks that released a barrier since the last one. One barrier
+// on block 2^20-1 grows the phase table to 8 MB once; clearing all of it
+// at each of the 1,000 launches after it took 443 ms.
+func TestBarrierOnHighBlockLaunches(t *testing.T) {
+	if raceEnabled {
+		t.Skip("time bound")
+	}
+	const block, launches = 1<<20 - 1, 1000
+	h := tracefile.NewHeader("high-barrier", nil, config.Default())
+	kernel := tracefile.Op{Kind: tracefile.OpKernel, Control: &tracefile.Control{Name: "k", Blocks: block + 1, Threads: 32}}
+	ops := []tracefile.Op{
+		kernel,
+		{Kind: tracefile.OpBarrier, Access: core.Access{Block: block}, Control: &tracefile.Control{Warps: 1}},
+	}
+	for i := 1; i < launches; i++ {
+		ops = append(ops, kernel)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	res, err := predict.Run(h, ops, predict.Options{})
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Kernels != launches {
+		t.Fatalf("analysed %d kernels, want %d", res.Kernels, launches)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d bytes allocated in %v", alloc, elapsed)
+	if alloc >= 16<<20 {
+		t.Errorf("predict.Run allocated %d bytes, want under 16 MB", alloc)
+	}
+	if elapsed >= 50*time.Millisecond {
+		t.Errorf("predict.Run took %v for %d launches after one high-block barrier, want under 50 ms", elapsed, launches)
 	}
 }

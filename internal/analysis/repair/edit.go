@@ -253,11 +253,8 @@ func insertFenceTrace(e Edit, ops []tracefile.Op) ([]tracefile.Op, PatchStats, e
 			}
 		}
 		out = append(out, tracefile.Op{
-			Kind:  tracefile.OpFence,
-			Block: a.Block,
-			Warp:  a.Warp,
-			Scope: e.Scope,
-			Cycle: a.Cycle,
+			Kind:   tracefile.OpFence,
+			Access: core.Access{Block: a.Block, Warp: a.Warp, Scope: e.Scope, Cycle: a.Cycle},
 		})
 		st.Inserted++
 	}
@@ -377,19 +374,15 @@ func insertBarrierTrace(e Edit, ops []tracefile.Op) ([]tracefile.Op, PatchStats,
 			cyc := ops[p].Cycle
 			ins := []tracefile.Op{{
 				Kind:      tracefile.OpBarrier,
-				Block:     k.block,
+				Access:    core.Access{Block: k.block, Cycle: cyc},
+				Control:   &tracefile.Control{Warps: len(ws)},
 				BarrierID: ops[p].Access.Barrier + 1,
-				Warps:     len(ws),
-				Cycle:     cyc,
 			}}
 			for _, w := range ws {
 				ins = append(ins, tracefile.Op{
 					Kind:        tracefile.OpFence,
-					Block:       k.block,
-					Warp:        w,
-					Scope:       core.ScopeBlock,
+					Access:      core.Access{Block: k.block, Warp: w, Scope: core.ScopeBlock, Cycle: cyc},
 					FromBarrier: true,
-					Cycle:       cyc,
 				})
 			}
 			insertAt[p] = ins

@@ -252,7 +252,7 @@ func TestInsertBarrierErrorDeterministic(t *testing.T) {
 	// Site "a" runs on both sides of the "b" split point in each block:
 	// a mid-loop split, which both blocks reject. Block 1 comes first in
 	// the stream so stream order cannot stand in for block order.
-	ops := []tracefile.Op{{Kind: tracefile.OpKernel, Name: "k"}}
+	ops := []tracefile.Op{{Kind: tracefile.OpKernel, Control: &tracefile.Control{Name: "k"}}}
 	for _, b := range []int{1, 0} {
 		ops = append(ops, access(b, "a"), access(b, "b"), access(b, "a"))
 	}

@@ -221,19 +221,13 @@ func FromOps(h tracefile.Header, ops []tracefile.Op) *Tracer {
 			b.Alloc(op.Name, op.Base, op.Bytes)
 		case tracefile.OpAccess:
 			b.Access(op.Access, op.AtomicOp, op.Size)
-			if op.Access.Cycle > last {
-				last = op.Access.Cycle
-			}
+			last = max(last, op.Cycle)
 		case tracefile.OpFence:
 			b.Fence(op.Block, op.Warp, op.Scope, op.Cycle, op.FromBarrier)
-			if op.Cycle > last {
-				last = op.Cycle
-			}
+			last = max(last, op.Cycle)
 		case tracefile.OpBarrier:
 			b.Barrier(op.Block, op.BarrierID, op.Warps, op.Cycle)
-			if op.Cycle > last {
-				last = op.Cycle
-			}
+			last = max(last, op.Cycle)
 		}
 	}
 	b.Finish(last)

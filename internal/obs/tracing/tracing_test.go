@@ -199,18 +199,18 @@ func TestFromOpsMatchesBuilder(t *testing.T) {
 			Access: core.Access{Kind: core.KindLoad, Addr: addr, Block: blk, Warp: warp, Cycle: cycle, Site: "k.go:1"}}
 	}
 	ops := []tracefile.Op{
-		{Kind: tracefile.OpKernel, Name: "k", Blocks: 2, Threads: 64, Cycle: 10},
-		{Kind: tracefile.OpAlloc, Name: "buf", Base: 0x1000, Bytes: 256},
+		{Kind: tracefile.OpKernel, Control: &tracefile.Control{Name: "k", Blocks: 2, Threads: 64}, Access: core.Access{Cycle: 10}},
+		{Kind: tracefile.OpAlloc, Control: &tracefile.Control{Name: "buf", Base: 0x1000, Bytes: 256}},
 		acc(0, 0, 0x1000, 12),
 		acc(0, 1, 0x1004, 13),
 		acc(1, 0, 0x1008, 14),
-		{Kind: tracefile.OpFence, Block: 0, Warp: 0, Scope: core.ScopeDevice, Cycle: 20},
+		{Kind: tracefile.OpFence, Access: core.Access{Block: 0, Warp: 0, Scope: core.ScopeDevice, Cycle: 20}},
 		acc(0, 0, 0x100c, 25),
-		{Kind: tracefile.OpBarrier, Block: 0, BarrierID: 1, Warps: 2, Cycle: 30},
-		{Kind: tracefile.OpFence, Block: 0, Warp: 0, Scope: core.ScopeBlock, Cycle: 30, FromBarrier: true},
-		{Kind: tracefile.OpFence, Block: 0, Warp: 1, Scope: core.ScopeBlock, Cycle: 30, FromBarrier: true},
+		{Kind: tracefile.OpBarrier, Access: core.Access{Block: 0, Cycle: 30}, BarrierID: 1, Control: &tracefile.Control{Warps: 2}},
+		{Kind: tracefile.OpFence, Access: core.Access{Block: 0, Warp: 0, Scope: core.ScopeBlock, Cycle: 30}, FromBarrier: true},
+		{Kind: tracefile.OpFence, Access: core.Access{Block: 0, Warp: 1, Scope: core.ScopeBlock, Cycle: 30}, FromBarrier: true},
 		acc(0, 1, 0x1010, 35),
-		{Kind: tracefile.OpKernelEnd, Name: "k", Cycle: 40},
+		{Kind: tracefile.OpKernelEnd, Control: &tracefile.Control{Name: "k"}, Access: core.Access{Cycle: 40}},
 	}
 	var replayJSON bytes.Buffer
 	FromOps(h, ops).WriteJSON(&replayJSON)

@@ -16,10 +16,10 @@ func acc(block, warp int, addr uint64, kind core.AccessKind, aop core.AtomicOp) 
 }
 
 func TestSwappable(t *testing.T) {
-	fence := tracefile.Op{Kind: tracefile.OpFence, Block: 0, Warp: 0}
+	fence := tracefile.Op{Kind: tracefile.OpFence, Access: core.Access{Block: 0, Warp: 0}}
 	barrier := tracefile.Op{Kind: tracefile.OpBarrier}
-	alloc := tracefile.Op{Kind: tracefile.OpAlloc, Name: "a"}
-	kernel := tracefile.Op{Kind: tracefile.OpKernel, Name: "k"}
+	alloc := tracefile.Op{Kind: tracefile.OpAlloc, Control: &tracefile.Control{Name: "a"}}
+	kernel := tracefile.Op{Kind: tracefile.OpKernel, Control: &tracefile.Control{Name: "k"}}
 
 	cases := []struct {
 		name string

@@ -60,8 +60,9 @@ type Config struct {
 
 	// MaxUploadBytes caps one trace upload (413 beyond it);
 	// MaxStoreBytes caps what the store retains across traces: each
-	// trace's decoded ops at unsafe.Sizeof(tracefile.Op{}) bytes per op,
-	// plus its raw length (507 beyond it).
+	// trace's decoded ops at unsafe.Sizeof(tracefile.Op{}) bytes per op
+	// and its Controls at unsafe.Sizeof(tracefile.Control{}) each, plus
+	// its raw length (507 beyond it).
 	MaxUploadBytes int64
 	MaxStoreBytes  int64
 

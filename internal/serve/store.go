@@ -20,14 +20,21 @@ import (
 // byte budget.
 var ErrStoreFull = errors.New("serve: trace store full")
 
-// opBytes is what one decoded op costs the store's byte budget.
-const opBytes = int64(unsafe.Sizeof(tracefile.Op{}))
+// opBytes and controlBytes are what one decoded op and one Control cost
+// the store's byte budget.
+const (
+	opBytes      = int64(unsafe.Sizeof(tracefile.Op{}))
+	controlBytes = int64(unsafe.Sizeof(tracefile.Control{}))
+)
 
-// traceCost is what a trace of n ops encoded in raw costs the store's byte
-// budget: its decoded ops, plus its raw length, which bounds the strings
-// they point at. The reader copies each interned string out of the raw
-// bytes once, so sites and names cannot hold more than raw did.
-func traceCost(n int, raw []byte) int64 { return int64(n)*opBytes + int64(len(raw)) }
+// traceCost is what a trace encoded in raw costs the store's byte budget
+// once decoded into ops ops and controls Controls (tracefile.Reader's
+// Controls, chunk capacity included), plus its raw length, which bounds
+// the strings they point at. The reader copies each interned string out
+// of the raw bytes once, so sites and names cannot hold more than raw did.
+func traceCost(ops, controls int, raw []byte) int64 {
+	return int64(ops)*opBytes + int64(controls)*controlBytes + int64(len(raw))
+}
 
 // Trace is one validated, content-addressed upload, decoded once at
 // admission. ops is immutable after Put: replay jobs only read it, so
@@ -51,7 +58,7 @@ type Trace struct {
 // shapes and the end-block counts all verified by tracefile.Reader — so
 // a trace in the store is replayable by construction. Identical bytes
 // dedupe to one entry. The byte budget bounds what the store holds: the
-// decoded ops and the strings they point at (traceCost).
+// decoded ops, their Controls and the strings they point at (traceCost).
 type Store struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -110,18 +117,15 @@ func readOps(rd *tracefile.Reader) (ops []tracefile.Op, accesses, kernels int, e
 	}
 	for i := range ops {
 		op := &ops[i]
-		block := 0
 		switch op.Kind {
 		case tracefile.OpAccess:
 			accesses++
-			block = op.Access.Block
-		case tracefile.OpFence, tracefile.OpBarrier:
-			block = op.Block
 		case tracefile.OpKernel:
 			kernels++
 		}
-		if block >= maxBlocks {
-			return nil, 0, 0, fmt.Errorf("serve: op %d is on block %d, limit %d blocks", i, block, maxBlocks)
+		// Kernel, kernel-end and alloc ops carry block 0.
+		if op.Block >= maxBlocks {
+			return nil, 0, 0, fmt.Errorf("serve: op %d is on block %d, limit %d blocks", i, op.Block, maxBlocks)
 		}
 	}
 	return ops, accesses, kernels, nil
@@ -131,10 +135,11 @@ func readOps(rd *tracefile.Reader) (ops []tracefile.Op, accesses, kernels int, e
 // pre-existing identical) trace and whether this upload was a duplicate.
 // A duplicate costs nothing, also while its twin is still being decoded:
 // it waits for the twin instead of being charged a second time. An upload
-// is decoded once, after the budget has been charged with the op count
-// its end block declares: ReadAll allocates no more ops than that, and
-// decodes exactly that many from a valid trace. So an upload whose
-// decoded ops would not fit is refused before they are allocated.
+// is decoded once, after the budget has reserved the most that can cost:
+// an op and a Control for each op its end block declares, since ReadAll
+// allocates no more of either. So an upload whose decoded ops could not
+// fit is refused before they are allocated. Decoding settles the charge
+// to the ops and Control chunks it did allocate.
 func (st *Store) Put(raw []byte) (tr *Trace, dup bool, err error) {
 	rd, err := openTrace(raw)
 	if err != nil {
@@ -143,7 +148,8 @@ func (st *Store) Put(raw []byte) (tr *Trace, dup bool, err error) {
 	}
 	sum := sha256.Sum256(raw)
 	id := hex.EncodeToString(sum[:])
-	cost := traceCost(tracefile.DeclaredOps(raw), raw)
+	n := tracefile.DeclaredOps(raw)
+	reserve := traceCost(n, n, raw)
 
 	st.mu.Lock()
 	for {
@@ -160,16 +166,16 @@ func (st *Store) Put(raw []byte) (tr *Trace, dup bool, err error) {
 		<-twin
 		st.mu.Lock()
 	}
-	if st.used+cost > st.maxBytes {
+	if st.used+reserve > st.maxBytes {
 		used := st.used
 		st.mu.Unlock()
 		st.rejected.Add(1)
 		return nil, false, fmt.Errorf("%w: %d bytes stored, upload costs %d bytes, budget %d",
-			ErrStoreFull, used, cost, st.maxBytes)
+			ErrStoreFull, used, reserve, st.maxBytes)
 	}
 	// Reserve the budget and mark the upload pending, then decode outside
 	// the lock: replays look traces up under it.
-	st.used += cost
+	st.used += reserve
 	done := make(chan struct{})
 	st.pending[id] = done
 	st.mu.Unlock()
@@ -181,10 +187,13 @@ func (st *Store) Put(raw []byte) (tr *Trace, dup bool, err error) {
 	delete(st.pending, id)
 	close(done)
 	if err != nil {
-		st.used -= cost
+		st.used -= reserve
 		st.rejected.Add(1)
 		return nil, false, err
 	}
+	// Settle the reservation to what the decoded trace holds.
+	cost := traceCost(len(ops), rd.Controls(), raw)
+	st.used -= reserve - cost
 	tr = &Trace{ID: id, Header: rd.Header(), ops: ops, RawBytes: len(raw), Ops: len(ops), Accesses: accesses, Kernels: kernels}
 	st.traces[id] = tr
 	st.uploads.Add(1)
@@ -248,7 +257,7 @@ func (st *Store) WritePrometheus(w io.Writer) error {
 	st.mu.Unlock()
 	var b []byte
 	b = fmt.Appendf(b, "# HELP scord_serve_store_traces stored traces\n# TYPE scord_serve_store_traces gauge\nscord_serve_store_traces %d\n", count)
-	b = fmt.Appendf(b, "# HELP scord_serve_store_bytes bytes held against the store budget: 160 per decoded op plus each trace's raw length\n# TYPE scord_serve_store_bytes gauge\nscord_serve_store_bytes %d\n", used)
+	b = fmt.Appendf(b, "# HELP scord_serve_store_bytes bytes held against the store budget: 80 per decoded op, 56 per kernel, alloc or barrier payload, plus each trace's raw length\n# TYPE scord_serve_store_bytes gauge\nscord_serve_store_bytes %d\n", used)
 	b = fmt.Appendf(b, "# HELP scord_serve_store_uploads_total validated uploads admitted\n# TYPE scord_serve_store_uploads_total counter\nscord_serve_store_uploads_total %d\n", st.uploads.Load())
 	b = fmt.Appendf(b, "# HELP scord_serve_store_dup_uploads_total uploads deduped by content hash\n# TYPE scord_serve_store_dup_uploads_total counter\nscord_serve_store_dup_uploads_total %d\n", st.dups.Load())
 	b = fmt.Appendf(b, "# HELP scord_serve_store_rejected_total corrupt or over-budget uploads\n# TYPE scord_serve_store_rejected_total counter\nscord_serve_store_rejected_total %d\n", st.rejected.Load())

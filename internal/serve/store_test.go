@@ -15,7 +15,7 @@ import (
 )
 
 // fenceFlood encodes a trace of n fences after one launch: a few bytes
-// per record, 160 bytes per decoded op.
+// per record, 80 bytes per decoded op.
 func fenceFlood(t *testing.T, n int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -32,6 +32,40 @@ func fenceFlood(t *testing.T, n int) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// barrierFlood encodes a trace of n barrier releases and nothing else:
+// every op keeps a Control.
+func barrierFlood(t *testing.T, n int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	tw, err := tracefile.NewWriter(&buf, tracefile.NewHeader("barriers", nil, config.Default()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		tw.Barrier(0, uint8(i), 4, uint64(i))
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// decodedCost is what the store charges for raw once decoded: its ops,
+// the Controls a Reader allocates for them, chunk capacity included, and
+// its raw length.
+func decodedCost(t *testing.T, raw []byte) int64 {
+	t.Helper()
+	rd, err := tracefile.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, err := rd.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(ops))*opBytes + int64(rd.Controls())*controlBytes + int64(len(raw))
 }
 
 // siteFlood encodes a trace of n accesses after one launch, each naming
@@ -57,8 +91,8 @@ func siteFlood(t *testing.T, tag string, n int) []byte {
 }
 
 // TestStoreChargesDecodedOps: the budget charges each stored trace its
-// decoded ops plus its raw length, and a duplicate upload charges
-// nothing.
+// decoded ops, their Control chunks and its raw length, and a duplicate
+// upload charges nothing.
 func TestStoreChargesDecodedOps(t *testing.T) {
 	st := NewStore(1 << 30)
 	raw := traceBytes(t)
@@ -66,7 +100,7 @@ func TestStoreChargesDecodedOps(t *testing.T) {
 	if err != nil || dup {
 		t.Fatalf("Put = dup %v, err %v", dup, err)
 	}
-	want := int64(len(tr.ops))*opBytes + int64(len(raw))
+	want := decodedCost(t, raw)
 	if tr.Ops != len(tr.ops) || st.used != want {
 		t.Errorf("stored %d ops (counted %d), charged %d bytes, want %d", len(tr.ops), tr.Ops, st.used, want)
 	}
@@ -90,14 +124,7 @@ func TestStoreRefusesOverBudgetDecode(t *testing.T) {
 	raw := traceBytes(t)
 	flood := fenceFlood(t, 50_000)
 	floodCost := int64(50_000+2)*opBytes + int64(len(flood))
-	fenceCost := func() int64 {
-		st := NewStore(1 << 30)
-		tr, _, err := st.Put(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return int64(tr.Ops)*opBytes + int64(len(raw))
-	}()
+	fenceCost := decodedCost(t, raw)
 	budget := fenceCost + 4*int64(len(flood))
 	if budget-fenceCost >= floodCost {
 		t.Fatalf("flood of %d raw bytes decodes to %d, which fits the remaining %d", len(flood), floodCost, budget-fenceCost)
@@ -121,7 +148,7 @@ func TestStoreRefusesOverBudgetDecode(t *testing.T) {
 	}
 
 	// Store.Put alone: the refusal allocates a small multiple of the raw
-	// size, where decoding first would allocate the 160-byte ops.
+	// size, where decoding first would allocate the 80-byte ops.
 	st := NewStore(budget - fenceCost)
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -177,8 +204,9 @@ func TestStoreChargesInternedStrings(t *testing.T) {
 // charged again, so a budget that holds one copy admits them all.
 func TestStoreDedupesConcurrentTwins(t *testing.T) {
 	raw := fenceFlood(t, 50_000)
-	cost := int64(50_000+2)*opBytes + int64(len(raw))
-	st := NewStore(cost + cost/2)
+	cost := decodedCost(t, raw)
+	reserve := int64(50_000+2)*(opBytes+controlBytes) + int64(len(raw))
+	st := NewStore(reserve + reserve/2)
 
 	const twins = 8
 	var (
@@ -205,5 +233,25 @@ func TestStoreDedupesConcurrentTwins(t *testing.T) {
 	if st.used != cost || st.uploads.Load() != 1 || st.dups.Load() != twins-1 || st.rejected.Load() != 0 {
 		t.Errorf("used %d uploads %d dups %d rejected %d, want %d, 1, %d, 0",
 			st.used, st.uploads.Load(), st.dups.Load(), st.rejected.Load(), cost, twins-1)
+	}
+}
+
+// TestStoreChargesBarrierControls: an upload made only of barriers keeps
+// one Control per op, so it is charged for them on top of its ops, and a
+// budget one byte short of that refuses it before decoding.
+func TestStoreChargesBarrierControls(t *testing.T) {
+	const n = 1000
+	raw := barrierFlood(t, n)
+	want := int64(n)*(opBytes+controlBytes) + int64(len(raw))
+	st := NewStore(want)
+	tr, _, err := st.Put(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Ops != n || st.used != want {
+		t.Errorf("stored %d ops, charged %d bytes, want %d ops and %d bytes", tr.Ops, st.used, n, want)
+	}
+	if _, _, err := NewStore(want - 1).Put(raw); !errors.Is(err, ErrStoreFull) {
+		t.Errorf("Put into a budget of %d = %v, want ErrStoreFull", want-1, err)
 	}
 }

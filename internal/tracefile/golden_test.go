@@ -183,3 +183,66 @@ func TestGoldenCorpusSize(t *testing.T) {
 		t.Fatalf("golden corpus is %d bytes; keep it under 4 MiB", total)
 	}
 }
+
+// encodeBySelectors writes decoded ops back through a Writer, reading each
+// op only through the 16 selectors the repository benchmark's trace
+// encoder uses (perfbench/tracewl.go encode). A change to Op that renames
+// or retypes one of them fails this test, not only the benchmark's build.
+func encodeBySelectors(tb testing.TB, h tracefile.Header, ops []tracefile.Op) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	w, err := tracefile.NewWriter(&buf, h)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := range ops {
+		op := &ops[i]
+		switch op.Kind {
+		case tracefile.OpAccess:
+			w.Access(op.Access, op.AtomicOp, op.Size)
+		case tracefile.OpFence:
+			w.Fence(op.Block, op.Warp, op.Scope, op.Cycle, op.FromBarrier)
+		case tracefile.OpBarrier:
+			w.Barrier(op.Block, op.BarrierID, op.Warps, op.Cycle)
+		case tracefile.OpKernel:
+			w.KernelStart(op.Name, op.Blocks, op.Threads, op.Cycle)
+		case tracefile.OpKernelEnd:
+			w.KernelEnd(op.Name, op.Cycle)
+		case tracefile.OpAlloc:
+			w.Alloc(op.Name, op.Base, op.Bytes)
+		default:
+			tb.Fatalf("op %d: unknown kind %v", i, op.Kind)
+		}
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReencodeBySelectors decodes the golden corpus and a GCOL recording
+// and re-encodes every op through encodeBySelectors: the bytes must equal
+// the input, so those selectors reach every field the format stores.
+func TestReencodeBySelectors(t *testing.T) {
+	traces := map[string][]byte{"GCOL": gcolTrace(t)}
+	for _, spec := range goldenSpecs(t) {
+		raw, err := os.ReadFile(filepath.Join("testdata", spec.File))
+		if err != nil {
+			t.Fatalf("missing golden (run with -update to create): %v", err)
+		}
+		traces[spec.File] = raw
+	}
+	for name, raw := range traces {
+		r, err := tracefile.NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ops, err := r.ReadAll()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := encodeBySelectors(t, r.Header(), ops); !bytes.Equal(got, raw) {
+			t.Errorf("%s: re-encoding %d ops gave %d bytes that differ from the %d read", name, len(ops), len(got), len(raw))
+		}
+	}
+}

@@ -40,6 +40,10 @@ type Reader struct {
 
 	strs []string // interned string table, mirrored from the writer
 
+	ctls     []Control // unused rest of the current Control chunk
+	controls int       // Controls allocated in chunks so far
+	spare    Control   // the Control of a record ReadAll does not keep
+
 	prevCycle uint64
 	prevAddr  uint64
 	ops       uint64
@@ -94,7 +98,7 @@ func (r *Reader) Next() (Op, error) {
 	if err := r.more(); err != nil {
 		return Op{}, err
 	}
-	if err := r.decodeNext(&op); err != nil {
+	if err := r.decodeNext(&op, controlChunk); err != nil {
 		return Op{}, err
 	}
 	return op, nil
@@ -105,11 +109,11 @@ func (r *Reader) Next() (Op, error) {
 // sixteenth of the decoded size), sizes the slice by the op count the end
 // block declares, and decodes each record in place through the same
 // checks Next applies, so it returns exactly the ops or the error a Next
-// loop would. It never allocates room for more ops than that count (none
-// when the count is larger than the remaining bytes could hold): records
-// beyond it can only end in the end block's count error, so they are
-// decoded and counted but not kept. After a valid trace cap(ops) ==
-// len(ops); an empty remainder decodes to nil.
+// loop would. It never allocates room for more ops, or more Controls, than
+// that count (none when the count is larger than the remaining bytes could
+// hold): records beyond it can only end in the end block's count error, so
+// they are decoded and counted but not kept. After a valid trace cap(ops)
+// == len(ops); an empty remainder decodes to nil.
 func (r *Reader) ReadAll() ([]Op, error) {
 	if r.err != nil || r.done {
 		return nil, r.err
@@ -133,15 +137,15 @@ func (r *Reader) ReadAll() ([]Op, error) {
 		} else if err != nil {
 			return nil, err
 		}
-		op := &extra
+		op, room := &extra, 0
 		if len(ops) < cap(ops) {
 			// Every slot past len(ops) is still zero, as decodeNext needs.
 			ops = ops[:len(ops)+1]
-			op = &ops[len(ops)-1]
+			op, room = &ops[len(ops)-1], cap(ops)-len(ops)+1
 		} else {
 			extra = Op{}
 		}
-		if err := r.decodeNext(op); err != nil {
+		if err := r.decodeNext(op, room); err != nil {
 			return nil, err
 		}
 	}
@@ -239,10 +243,35 @@ func (r *Reader) more() error {
 	return nil
 }
 
+// Controls returns how many Controls the Reader has allocated for the ops
+// it returned. They come in chunks, and this counts the unused rest of the
+// last one too: an op that keeps a Control keeps its whole chunk.
+func (r *Reader) Controls() int { return r.controls }
+
+// controlChunk is the most Controls the Reader allocates at once.
+const controlChunk = 64
+
+// control returns a zero Control for the record being decoded. room is how
+// many ops, this one included, may still keep one, and bounds a new chunk;
+// 0 hands out the Reader's spare, for a record ReadAll does not keep.
+func (r *Reader) control(room int) *Control {
+	if room == 0 {
+		r.spare = Control{}
+		return &r.spare
+	}
+	if len(r.ctls) == 0 {
+		r.ctls = make([]Control, min(room, controlChunk))
+		r.controls += len(r.ctls)
+	}
+	c := &r.ctls[0]
+	r.ctls = r.ctls[1:]
+	return c
+}
+
 // decodeNext decodes the record more found into op, which must be zero,
-// and counts it.
-func (r *Reader) decodeNext(op *Op) error {
-	if err := r.decodeOp(op); err != nil {
+// and counts it. room bounds the Controls it may allocate (control).
+func (r *Reader) decodeNext(op *Op, room int) error {
+	if err := r.decodeOp(op, room); err != nil {
 		r.err = err
 		return err
 	}
@@ -334,69 +363,46 @@ func (r *Reader) readBlock() (byte, []byte, error) {
 	if got := binary.LittleEndian.Uint32(frame[n+1:]); got != crc {
 		return 0, nil, corrupt("block %q checksum mismatch: stored %#x, computed %#x", kind, got, crc)
 	}
+	// The checked CRC's first byte becomes the sentinel cursor reads past
+	// the payload's end.
+	frame[n+1] = sentinel
 	return kind, payload, nil
 }
 
 // decodeOp decodes one record from the current payload into op, which
-// must be zero: only the fields the record's kind uses are written.
-func (r *Reader) decodeOp(op *Op) error {
-	kind, err := r.byte("op kind")
-	if err != nil {
-		return err
-	}
-	switch kind {
+// must be zero: only the fields the record's kind uses are written. room
+// bounds the Controls a kernel, kernel-end, alloc or barrier record may
+// allocate (control).
+func (r *Reader) decodeOp(op *Op, room int) error {
+	c := cursor{b: r.payload[:len(r.payload)+1], pos: r.pos, end: len(r.payload)}
+	switch kind := c.byte("op kind"); kind {
 	case opAccess:
-		return r.decodeAccess(op)
+		r.decodeAccess(&c, op)
 	case opFence:
-		return r.decodeFence(op)
+		r.decodeFence(&c, op)
 	case opBarrier:
-		return r.decodeBarrier(op)
+		r.decodeBarrier(&c, op, r.control(room))
 	case opKernel:
-		op.Kind = OpKernel
-		if op.Name, err = r.string("kernel name"); err != nil {
-			return err
-		}
-		if op.Blocks, err = r.intField("kernel blocks"); err != nil {
-			return err
-		}
-		if op.Threads, err = r.intField("kernel threads"); err != nil {
-			return err
-		}
-		op.Cycle, err = r.cycle()
-		return err
+		r.decodeKernel(&c, op, r.control(room))
 	case opKernelEnd:
-		op.Kind = OpKernelEnd
-		if op.Name, err = r.string("kernel name"); err != nil {
-			return err
-		}
-		op.Cycle, err = r.cycle()
-		return err
+		r.decodeKernelEnd(&c, op, r.control(room))
 	case opAlloc:
-		op.Kind = OpAlloc
-		if op.Name, err = r.string("alloc name"); err != nil {
-			return err
-		}
-		if op.Base, err = r.uvarint("alloc base"); err != nil {
-			return err
-		}
-		op.Bytes, err = r.uvarint("alloc size")
-		return err
+		r.decodeAlloc(&c, op, r.control(room))
 	default:
-		return corrupt("unknown op kind %#x at payload offset %d", kind, r.pos-1)
+		c.failf("unknown op kind %#x at payload offset %d", kind, c.pos-1)
 	}
+	r.pos = c.pos
+	return c.err
 }
 
-func (r *Reader) decodeAccess(op *Op) error {
-	flags, err := r.byte("access flags")
-	if err != nil {
-		return err
-	}
+func (r *Reader) decodeAccess(c *cursor, op *Op) {
+	flags := c.byte("access flags")
 	if flags&accKindMask > uint8(core.KindAtomic) {
-		return corrupt("access kind %d out of range", flags&accKindMask)
+		c.failf("access kind %d out of range", flags&accKindMask)
 	}
-	aop := uint64(flags >> accAopShift)
-	if aop > maxAtomicOp {
-		return corrupt("atomic op %d out of range", aop)
+	aop := flags >> accAopShift
+	if uint64(aop) > maxAtomicOp {
+		c.failf("atomic op %d out of range", aop)
 	}
 	op.Kind = OpAccess
 	op.AtomicOp = core.AtomicOp(aop)
@@ -407,164 +413,195 @@ func (r *Reader) decodeAccess(op *Op) error {
 	}
 	a.Strong = flags&accStrong != 0
 	a.Diverged = flags&accDiverged != 0
-	if a.Block, err = r.intField("access block"); err != nil {
-		return err
-	}
-	if a.Warp, err = r.intField("access warp"); err != nil {
-		return err
-	}
-	if a.Barrier, err = r.byte("access barrier"); err != nil {
-		return err
-	}
-	if a.Lane, err = r.intField("access lane"); err != nil {
-		return err
-	}
-	addrDelta, err := r.svarint("access addr delta")
-	if err != nil {
-		return err
-	}
-	a.Addr = r.prevAddr + uint64(addrDelta)
+	a.Block = c.int("access block")
+	a.Warp = c.int("access warp")
+	a.Barrier = c.byte("access barrier")
+	a.Lane = c.int("access lane")
+	a.Addr = r.prevAddr + uint64(unzigzag(c.uvarint("access addr delta")))
 	r.prevAddr = a.Addr
 	if a.Addr >= r.arena {
 		// A live device cannot issue it (mem.WordIndex panics first), and
 		// replay sizes detector metadata by the arena.
-		return corrupt("access address %#x outside the %d-byte device arena", a.Addr, r.arena)
+		c.failf("access address %#x outside the %d-byte device arena", a.Addr, r.arena)
 	}
-	if a.Cycle, err = r.cycle(); err != nil {
-		return err
-	}
-	if a.Site, err = r.string("access site"); err != nil {
-		return err
-	}
-	size, err := r.uvarint("access size")
-	if err != nil {
-		return err
-	}
+	a.Cycle = r.cycle(c)
+	a.Site = r.string(c, "access site")
+	size := c.uvarint("access size")
 	if size > 1<<16 {
-		return corrupt("access size %d out of range", size)
+		c.failf("access size %d out of range", size)
 	}
 	op.Size = uint32(size)
-	return nil
 }
 
-func (r *Reader) decodeFence(op *Op) error {
-	flags, err := r.byte("fence flags")
-	if err != nil {
-		return err
-	}
+func (r *Reader) decodeFence(c *cursor, op *Op) {
+	flags := c.byte("fence flags")
 	if flags&^(fenceScopeDev|fenceFromBarrier) != 0 {
-		return corrupt("fence flags %#x have unknown bits", flags)
+		c.failf("fence flags %#x have unknown bits", flags)
 	}
 	op.Kind = OpFence
 	if flags&fenceScopeDev != 0 {
 		op.Scope = core.ScopeDevice
 	}
 	op.FromBarrier = flags&fenceFromBarrier != 0
-	if op.Block, err = r.intField("fence block"); err != nil {
-		return err
-	}
-	if op.Warp, err = r.intField("fence warp"); err != nil {
-		return err
-	}
-	op.Cycle, err = r.cycle()
-	return err
+	op.Block = c.int("fence block")
+	op.Warp = c.int("fence warp")
+	op.Cycle = r.cycle(c)
 }
 
-func (r *Reader) decodeBarrier(op *Op) error {
-	var err error
+func (r *Reader) decodeBarrier(c *cursor, op *Op, ctl *Control) {
 	op.Kind = OpBarrier
-	if op.Block, err = r.intField("barrier block"); err != nil {
-		return err
-	}
-	if op.BarrierID, err = r.byte("barrier id"); err != nil {
-		return err
-	}
-	if op.Warps, err = r.intField("barrier warps"); err != nil {
-		return err
-	}
-	op.Cycle, err = r.cycle()
-	return err
+	op.Control = ctl
+	op.Block = c.int("barrier block")
+	op.BarrierID = c.byte("barrier id")
+	ctl.Warps = c.int("barrier warps")
+	op.Cycle = r.cycle(c)
 }
 
-// --- low-level field decoders, all bounds-checked ---
-
-func (r *Reader) byte(what string) (byte, error) {
-	if r.pos >= len(r.payload) {
-		return 0, corrupt("%s: record truncated at payload end", what)
-	}
-	b := r.payload[r.pos]
-	r.pos++
-	return b, nil
+func (r *Reader) decodeKernel(c *cursor, op *Op, ctl *Control) {
+	op.Kind = OpKernel
+	op.Control = ctl
+	ctl.Name = r.string(c, "kernel name")
+	ctl.Blocks = c.int("kernel blocks")
+	ctl.Threads = c.int("kernel threads")
+	op.Cycle = r.cycle(c)
 }
 
-func (r *Reader) uvarint(what string) (uint64, error) {
-	v, n := binary.Uvarint(r.payload[r.pos:])
-	if n <= 0 {
-		return 0, corrupt("%s: bad varint at payload offset %d", what, r.pos)
-	}
-	r.pos += n
-	return v, nil
+func (r *Reader) decodeKernelEnd(c *cursor, op *Op, ctl *Control) {
+	op.Kind = OpKernelEnd
+	op.Control = ctl
+	ctl.Name = r.string(c, "kernel name")
+	op.Cycle = r.cycle(c)
 }
 
-func (r *Reader) svarint(what string) (int64, error) {
-	v, err := r.uvarint(what)
-	if err != nil {
-		return 0, err
-	}
-	return unzigzag(v), nil
+func (r *Reader) decodeAlloc(c *cursor, op *Op, ctl *Control) {
+	op.Kind = OpAlloc
+	op.Control = ctl
+	ctl.Name = r.string(c, "alloc name")
+	ctl.Base = c.uvarint("alloc base")
+	ctl.Bytes = c.uvarint("alloc size")
 }
 
-// intField decodes a uvarint that must fit a non-negative int.
-func (r *Reader) intField(what string) (int, error) {
-	v, err := r.uvarint(what)
-	if err != nil {
-		return 0, err
-	}
-	if v > 1<<31 {
-		return 0, corrupt("%s: value %d out of range", what, v)
-	}
-	return int(v), nil
-}
-
-func (r *Reader) cycle() (uint64, error) {
-	d, err := r.svarint("cycle delta")
-	if err != nil {
-		return 0, err
-	}
-	c := r.prevCycle + uint64(d)
-	r.prevCycle = c
-	return c, nil
+// cycle decodes a cycle delta against the previous record's cycle.
+func (r *Reader) cycle(c *cursor) uint64 {
+	r.prevCycle += uint64(unzigzag(c.uvarint("cycle delta")))
+	return r.prevCycle
 }
 
 // string decodes a string reference against the interning table.
-func (r *Reader) string(what string) (string, error) {
-	idx, err := r.uvarint(what)
-	if err != nil {
-		return "", err
+func (r *Reader) string(c *cursor, what string) string {
+	idx := c.uvarint(what)
+	if idx-1 < uint64(len(r.strs)) {
+		return r.strs[idx-1]
 	}
-	switch {
-	case idx == 0:
-		return "", nil
-	case idx <= uint64(len(r.strs)):
-		return r.strs[idx-1], nil
-	case idx == uint64(len(r.strs))+1:
-		n, err := r.uvarint(what + " length")
-		if err != nil {
-			return "", err
-		}
-		if n == 0 || n > maxStringLen {
-			return "", corrupt("%s: interned string length %d out of range", what, n)
-		}
-		if r.pos+int(n) > len(r.payload) {
-			return "", corrupt("%s: interned string truncated at payload end", what)
-		}
-		s := string(r.payload[r.pos : r.pos+int(n)])
-		r.pos += int(n)
-		r.strs = append(r.strs, s)
-		return s, nil
-	default:
-		return "", corrupt("%s: string reference %d beyond table size %d", what, idx, len(r.strs))
+	if idx == 0 {
+		return ""
 	}
+	return r.intern(c, idx, what)
+}
+
+// intern decodes the string that reference idx introduces inline and
+// appends it to the interning table.
+func (r *Reader) intern(c *cursor, idx uint64, what string) string {
+	if idx != uint64(len(r.strs))+1 {
+		c.failf("%s: string reference %d beyond table size %d", what, idx, len(r.strs))
+		return ""
+	}
+	n := c.uvarint(what + " length")
+	if n == 0 || n > maxStringLen {
+		c.failf("%s: interned string length %d out of range", what, n)
+		return ""
+	}
+	if c.pos+int(n) > c.end {
+		c.failf("%s: interned string truncated at payload end", what)
+		return ""
+	}
+	s := string(c.b[c.pos : c.pos+int(n)])
+	c.pos += int(n)
+	r.strs = append(r.strs, s)
+	return s
+}
+
+// cursor reads the fields of one op record from an ops-block payload,
+// b[:end]. Every read is bounds-checked, and the first failure sticks: it
+// is kept in err, the record ends there, and every later read returns
+// zero. So a record decoder reads its fields and checks their values in
+// order, and the record's error is the first check it failed, as if it had
+// stopped there. The one-byte reads are small enough to inline; longer
+// varints and the error text are built out of line. b holds one byte past
+// the payload, a sentinel readBlock stores, which no one-byte varint
+// matches: a varint read at the payload's end takes the out-of-line path,
+// which reports it, so the inline path needs no bounds test of its own.
+type cursor struct {
+	b   []byte // the payload and its sentinel
+	pos int
+	end int // the payload's length
+	err error
+}
+
+// sentinel follows every ops-block payload: the first byte of a longer
+// varint, never a whole one.
+const sentinel = 0x80
+
+func (c *cursor) byte(what string) (v byte) {
+	if c.pos < c.end {
+		v = c.b[c.pos]
+		c.pos++
+		return
+	}
+	c.truncated(what)
+	return
+}
+
+// truncated fails a byte read at the payload's end. It is a call of its
+// own, not failf inline, so that byte stays small enough to inline.
+func (c *cursor) truncated(what string) {
+	c.failf("%s: record truncated at payload end", what)
+}
+
+func (c *cursor) uvarint(what string) (v uint64) {
+	if v = uint64(c.b[c.pos]); v < 0x80 {
+		c.pos++
+		return
+	}
+	return c.uvarintLong(what)
+}
+
+// uvarintLong decodes a varint longer than one byte.
+func (c *cursor) uvarintLong(what string) uint64 {
+	v, n := binary.Uvarint(c.b[c.pos:c.end])
+	if n <= 0 {
+		c.failf("%s: bad varint at payload offset %d", what, c.pos)
+		return 0
+	}
+	c.pos += n
+	return v
+}
+
+// int decodes a uvarint that must fit a non-negative int.
+func (c *cursor) int(what string) (v int) {
+	if v = int(c.b[c.pos]); v < 0x80 {
+		c.pos++
+		return
+	}
+	return c.intLong(what)
+}
+
+func (c *cursor) intLong(what string) int {
+	v := c.uvarintLong(what)
+	if v > 1<<31 {
+		c.failf("%s: value %d out of range", what, v)
+		return 0
+	}
+	return int(v)
+}
+
+// failf ends the record with a corrupt-trace error, unless an earlier
+// read or check already failed it.
+func (c *cursor) failf(format string, args ...any) {
+	if c.err == nil {
+		c.err = corrupt(format, args...)
+	}
+	c.pos = c.end
 }
 
 // corrupt builds an ErrCorrupt-wrapped error; truncation detail also

@@ -32,11 +32,11 @@ func sampleTrace(t testing.TB, n int) ([]byte, []Op) {
 	}
 	var want []Op
 	w.Alloc("data", 0, 4096)
-	want = append(want, Op{Kind: OpAlloc, Name: "data", Base: 0, Bytes: 4096})
+	want = append(want, Op{Kind: OpAlloc, Control: &Control{Name: "data", Base: 0, Bytes: 4096}})
 	w.Alloc("locks", 4096, 128)
-	want = append(want, Op{Kind: OpAlloc, Name: "locks", Base: 4096, Bytes: 128})
+	want = append(want, Op{Kind: OpAlloc, Control: &Control{Name: "locks", Base: 4096, Bytes: 128}})
 	w.KernelStart("kern", 2, 64, 10)
-	want = append(want, Op{Kind: OpKernel, Name: "kern", Blocks: 2, Threads: 64, Cycle: 10})
+	want = append(want, Op{Kind: OpKernel, Control: &Control{Name: "kern", Blocks: 2, Threads: 64}, Access: core.Access{Cycle: 10}})
 	for i := 0; i < n; i++ {
 		a := core.Access{
 			Kind:     core.AccessKind(i % 3),
@@ -57,20 +57,20 @@ func sampleTrace(t testing.TB, n int) ([]byte, []Op) {
 		if i%13 == 0 {
 			scope := core.Scope(i % 2)
 			w.Fence(i%2, i%4, scope, uint64(90+i), false)
-			want = append(want, Op{Kind: OpFence, Block: i % 2, Warp: i % 4,
-				Scope: scope, Cycle: uint64(90 + i)})
+			want = append(want, Op{Kind: OpFence, Access: core.Access{Block: i % 2, Warp: i % 4,
+				Scope: scope, Cycle: uint64(90 + i)}})
 		}
 		if i%17 == 0 {
 			w.Barrier(i%2, uint8(i%3), 2, uint64(95+i))
-			want = append(want, Op{Kind: OpBarrier, Block: i % 2, BarrierID: uint8(i % 3),
-				Warps: 2, Cycle: uint64(95 + i)})
+			want = append(want, Op{Kind: OpBarrier, Access: core.Access{Block: i % 2, Cycle: uint64(95 + i)},
+				BarrierID: uint8(i % 3), Control: &Control{Warps: 2}})
 			w.Fence(i%2, 0, core.ScopeBlock, uint64(95+i), true)
-			want = append(want, Op{Kind: OpFence, Block: i % 2, Warp: 0,
-				Scope: core.ScopeBlock, FromBarrier: true, Cycle: uint64(95 + i)})
+			want = append(want, Op{Kind: OpFence, Access: core.Access{Block: i % 2, Warp: 0,
+				Scope: core.ScopeBlock, Cycle: uint64(95 + i)}, FromBarrier: true})
 		}
 	}
 	w.KernelEnd("kern", 100000)
-	want = append(want, Op{Kind: OpKernelEnd, Name: "kern", Cycle: 100000})
+	want = append(want, Op{Kind: OpKernelEnd, Control: &Control{Name: "kern"}, Access: core.Access{Cycle: 100000}})
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -404,7 +404,7 @@ func TestLongStringsRoundTrip(t *testing.T) {
 	var want []Op
 	for k := uint64(0); k < 3; k++ {
 		w.KernelStart(name, 1, 32, 100*k)
-		want = append(want, Op{Kind: OpKernel, Name: name[:maxStringLen], Blocks: 1, Threads: 32, Cycle: 100 * k})
+		want = append(want, Op{Kind: OpKernel, Control: &Control{Name: name[:maxStringLen], Blocks: 1, Threads: 32}, Access: core.Access{Cycle: 100 * k}})
 		for i := uint64(0); i < 3; i++ {
 			a := core.Access{Kind: core.KindLoad, Addr: 4 * i, Site: site, Cycle: 100*k + i}
 			w.Access(a, core.AtomicOther, 4)
@@ -412,7 +412,7 @@ func TestLongStringsRoundTrip(t *testing.T) {
 			want = append(want, Op{Kind: OpAccess, Access: a, Size: 4})
 		}
 		w.KernelEnd(name, 100*k+50)
-		want = append(want, Op{Kind: OpKernelEnd, Name: name[:maxStringLen], Cycle: 100*k + 50})
+		want = append(want, Op{Kind: OpKernelEnd, Control: &Control{Name: name[:maxStringLen]}, Access: core.Access{Cycle: 100*k + 50}})
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -434,8 +434,8 @@ func TestOpSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned on 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Op{}); got != 160 {
-		t.Errorf("unsafe.Sizeof(Op{}) = %d, want 160", got)
+	if got := unsafe.Sizeof(Op{}); got != 80 {
+		t.Errorf("unsafe.Sizeof(Op{}) = %d, want 80", got)
 	}
 }
 

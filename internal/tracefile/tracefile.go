@@ -162,34 +162,46 @@ func (k OpKind) String() string {
 // Op is one decoded trace record. Which fields are meaningful depends on
 // Kind; the rest are zero.
 //
-// The narrow fields of every group sit together at the end, so an Op
-// packs into 160 bytes, the unit of every whole-trace slice; a field
-// added among them re-pads it (TestOpSize).
+// Every kind with an issuer or a cycle keeps them in the embedded Access:
+// an access op fills all of it, a fence its Block, Warp, Scope and Cycle,
+// a barrier its Block and Cycle, and a kernel launch or end its Cycle. The
+// rare kernel, kernel-end, alloc and barrier payloads sit behind one
+// pointer to an immutable Control, nil on access and fence ops, so an Op
+// packs into 80 bytes, the unit of every whole-trace slice; a field added
+// beside the narrow ones re-pads it (TestOpSize). Op stays comparable:
+// control ops compare by their Control pointer, which copies and
+// permutations keep.
 type Op struct {
+	// Access is the access exactly as presented to the detector, or the
+	// issuer and cycle of a fence, barrier or kernel marker.
+	core.Access
+	// Control carries the OpKernel, OpKernelEnd, OpAlloc and OpBarrier
+	// payloads.
+	*Control
+
 	Kind OpKind
-
-	// OpAccess: the access exactly as presented to the detector.
-	Access core.Access
-
-	// OpFence, OpBarrier: issuer identity and cycle; Warps applies to
-	// barriers.
-	Block, Warp int
-	Warps       int
-	Cycle       uint64
-
-	// OpKernel, OpKernelEnd, OpAlloc: names and geometry.
-	Name            string
-	Blocks, Threads int
-	Base, Bytes     uint64
-
-	// OpAccess: the atomic flavour (lock-inference relevant). OpFence:
-	// Scope and FromBarrier. OpBarrier: BarrierID. OpAccess: the access
-	// width in bytes.
-	AtomicOp    core.AtomicOp
-	Scope       core.Scope
+	// OpAccess: the atomic flavour (lock-inference relevant).
+	AtomicOp core.AtomicOp
+	// OpFence: marks the implicit block-scope fence of a barrier release.
 	FromBarrier bool
-	BarrierID   uint8
-	Size        uint32
+	// OpBarrier: the barrier ID the block advanced to.
+	BarrierID uint8
+	// OpAccess: the access width in bytes.
+	Size uint32
+}
+
+// Control is the payload of the ops that are neither accesses nor
+// fences. Copies of an op share its Control, and the Reader hands Controls
+// out of chunks, so a Control is never written once its op is decoded.
+type Control struct {
+	// OpKernel, OpKernelEnd, OpAlloc: the kernel or allocation name.
+	Name string
+	// OpKernel: the launch geometry.
+	Blocks, Threads int
+	// OpAlloc: the allocation's address range.
+	Base, Bytes uint64
+	// OpBarrier: the warps the release resumed.
+	Warps int
 }
 
 // String renders a compact single-line description (scord-replay dump).
