@@ -83,7 +83,10 @@ type Detector struct {
 	ITS bool
 
 	// AcqRel enables the explicit acquire/release extension of Section VI
-	// (PTX 6.0): a global release counter and a per-warp release file.
+	// (PTX 6.0): an acquire acts as a fence of its scope, and a release as
+	// a fence followed by a releasing Exch. The section's release counter
+	// and per-warp release file are not modelled, since no detection
+	// condition reads them.
 	AcqRel bool
 }
 

@@ -63,18 +63,26 @@ type CheckResult struct {
 // accessor, fence file, per-warp lock tables, and the detection logic of
 // Tables III and IV. It is purely behavioural; the gpu package models its
 // timing (inbox occupancy, metadata traffic, stalls).
+//
+// Every piece of per-kernel state is made on first use: metadata pages
+// on the first write to them, fence-file rows on a slot's first fence,
+// a block's lock tables on the first CAS by any of its warps. Building a
+// detector therefore allocates nothing sized by the arena or the grid,
+// and a kernel start clears only the state that exists.
 type Detector struct {
 	cfg   config.Detector
 	store *MetaStore
 	ff    FenceFile
-	// locks is indexed densely by warpKey: the lock-table lookup sits on
-	// the per-access hot path, where a map lookup costs more than the
-	// whole Table III preliminary check.
-	locks []LockTable
+	// locks holds each block's per-warp lock tables (keyed by the warp
+	// ID's low six bits); nil until a warp of the block issues a CAS, the
+	// only call that inserts an entry. The lookup sits on the per-access
+	// hot path, where a map lookup costs more than the whole Table III
+	// preliminary check.
+	locks []*blockLocks
 	s     *stats.Stats
 
 	records  []Record
-	index    map[recordKey]int
+	index    map[recordKey]int // made on the first race
 	overflow int
 
 	// Provenance capture (EnableProvenance): evidence per unique race
@@ -82,11 +90,10 @@ type Detector struct {
 	prov     bool
 	evidence map[recordKey]Evidence
 	shadow   map[int]shadowPrev
-
-	// Acquire/release extension state (Section VI).
-	releaseCounter uint8
-	releaseFile    map[int64]uint8
 }
+
+// blockLocks is one block's lock tables, one per warp.
+type blockLocks [64]LockTable
 
 // NewDetector builds a detector over an arena of totalWords data words.
 // metaBase is where the modelled metadata region starts.
@@ -95,27 +102,49 @@ func NewDetector(cfg config.Detector, totalWords int, metaBase uint64, s *stats.
 		panic("core: NewDetector with ModeOff")
 	}
 	return &Detector{
-		cfg:         cfg,
-		store:       NewMetaStore(cfg.Mode, totalWords, cfg.MetaCacheRatio, metaBase),
-		s:           s,
-		index:       make(map[recordKey]int),
-		releaseFile: make(map[int64]uint8),
+		cfg:   cfg,
+		store: NewMetaStore(cfg.Mode, totalWords, cfg.MetaCacheRatio, metaBase),
+		s:     s,
 	}
 }
 
 // Store exposes the metadata store (tests, overhead accounting).
 func (d *Detector) Store() *MetaStore { return d.store }
 
-func warpKey(block, warp int) int64 { return int64(block)<<6 | int64(warp&63) }
-
+// lockTable returns a warp's lock table, or nil while its block has none:
+// an empty table, on which fences, Exch and releases have no effect.
 func (d *Detector) lockTable(block, warp int) *LockTable {
-	k := int(warpKey(block, warp))
-	if k >= len(d.locks) {
-		grown := make([]LockTable, k+64)
+	if uint(block) < uint(len(d.locks)) {
+		if bl := d.locks[block]; bl != nil {
+			return &bl[warp&63]
+		}
+	}
+	return nil
+}
+
+// lockSummary is the warp's lock bloom: empty while its block has no
+// tables.
+func (d *Detector) lockSummary(block, warp int) Bloom {
+	if t := d.lockTable(block, warp); t != nil {
+		return t.Summary()
+	}
+	return 0
+}
+
+// onCAS inserts a candidate acquire, making the block's lock tables on
+// the first CAS by any of its warps.
+func (d *Detector) onCAS(block, warp int, addr uint64, scope Scope) {
+	if block >= len(d.locks) {
+		grown := make([]*blockLocks, block+1, max(block+1, 2*len(d.locks)))
 		copy(grown, d.locks)
 		d.locks = grown
 	}
-	return &d.locks[k]
+	bl := d.locks[block]
+	if bl == nil {
+		bl = new(blockLocks)
+		d.locks[block] = bl
+	}
+	bl[warp&63].OnCAS(addr, scope)
 }
 
 // ResetForKernel clears all detection state at a kernel launch: metadata is
@@ -124,12 +153,14 @@ func (d *Detector) lockTable(block, warp int) *LockTable {
 func (d *Detector) ResetForKernel() {
 	d.store.Reset()
 	d.ff.Reset()
-	clear(d.locks)
-	d.releaseCounter = 0
-	d.releaseFile = make(map[int64]uint8)
+	for _, bl := range d.locks {
+		if bl != nil {
+			*bl = blockLocks{}
+		}
+	}
 	if d.prov {
 		// Metadata was reinitialized, so the shadow site table is stale.
-		d.shadow = make(map[int]shadowPrev)
+		clear(d.shadow)
 	}
 }
 
@@ -138,7 +169,16 @@ func (d *Detector) ResetForKernel() {
 // scope become active (completing acquire patterns).
 func (d *Detector) OnFence(block, warp int, scope Scope) {
 	d.ff.OnFence(block, warp, scope)
-	d.lockTable(block, warp).OnFence(scope)
+	if t := d.lockTable(block, warp); t != nil {
+		t.OnFence(scope)
+	}
+}
+
+// onExch retires the warp's matching lock, if it holds one.
+func (d *Detector) onExch(block, warp int, addr uint64, scope Scope) {
+	if t := d.lockTable(block, warp); t != nil {
+		t.OnExch(addr, scope)
+	}
 }
 
 // OnAtomicOp updates lock-inference state after an atomic executed. CAS
@@ -146,9 +186,9 @@ func (d *Detector) OnFence(block, warp int, scope Scope) {
 func (d *Detector) OnAtomicOp(block, warp int, op AtomicOp, addr uint64, scope Scope) {
 	switch op {
 	case AtomicCAS:
-		d.lockTable(block, warp).OnCAS(addr, scope)
+		d.onCAS(block, warp, addr, scope)
 	case AtomicExch:
-		d.lockTable(block, warp).OnExch(addr, scope)
+		d.onExch(block, warp, addr, scope)
 	case AtomicAcquire:
 		d.OnAcquire(block, warp, addr, scope)
 	case AtomicRelease:
@@ -171,16 +211,14 @@ func (d *Detector) OnAcquire(block, warp int, addr uint64, scope Scope) {
 }
 
 // OnRelease implements the explicit release instruction: a fence of the
-// same scope followed by a releasing Exch, and a bump of the global release
-// counter recorded in the warp's release file.
+// same scope followed by a releasing Exch. The fence is what a later
+// acquirer's happens-before check observes, so no further state is kept.
 func (d *Detector) OnRelease(block, warp int, addr uint64, scope Scope) {
 	if !d.cfg.AcqRel {
 		return
 	}
 	d.OnFence(block, warp, scope)
-	d.lockTable(block, warp).OnExch(addr, scope)
-	d.releaseCounter++
-	d.releaseFile[warpKey(block, warp)] = d.releaseCounter
+	d.onExch(block, warp, addr, scope)
 	d.s.ReleaseObserved++
 }
 
@@ -197,7 +235,7 @@ func (d *Detector) CheckAccess(a Access) CheckResult {
 	idx, e, tag, tagOK := d.store.Lookup(wordIdx)
 	res := CheckResult{MetaAddr: d.store.AddrOf(idx), MetaWrite: true}
 
-	cur := d.lockTable(a.Block, a.Warp).Summary()
+	cur := d.lockSummary(a.Block, a.Warp)
 
 	if !tagOK {
 		// Software-cache miss: the resident entry belongs to an aliasing
@@ -392,6 +430,9 @@ func (d *Detector) report(kind RaceKind, a *Access, e Entry, sameBlock bool, cur
 		// current access overwrites the metadata entry.
 		d.evidence[key] = d.buildEvidence(kind, a, e, sameBlock, cur)
 	}
+	if d.index == nil {
+		d.index = make(map[recordKey]int)
+	}
 	d.index[key] = len(d.records)
 	d.records = append(d.records, Record{
 		Kind:      kind,
@@ -418,13 +459,3 @@ func (d *Detector) Records() []Record {
 
 // Overflowed reports distinct races dropped after the record cap.
 func (d *Detector) Overflowed() int { return d.overflow }
-
-// ClearRecords empties the race buffer (between harness runs).
-func (d *Detector) ClearRecords() {
-	d.records = d.records[:0]
-	d.index = make(map[recordKey]int)
-	d.overflow = 0
-	if d.prov {
-		d.evidence = make(map[recordKey]Evidence)
-	}
-}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -330,5 +332,123 @@ func TestAccessSize(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(Access{}); got != 64 {
 		t.Errorf("unsafe.Sizeof(Access{}) = %d, want 64", got)
+	}
+}
+
+// TestLockTablesMadeOnCAS: only a CAS makes a block's lock tables. A
+// fence, an Exch or a release on a warp of a block without tables makes
+// none, and a kernel start zeroes the tables that exist in place.
+func TestLockTablesMadeOnCAS(t *testing.T) {
+	cfg := config.Default().Detector
+	cfg.Mode = config.ModeFull4B
+	cfg.AcqRel = true
+	d := NewDetector(cfg, 1<<16, 0, &stats.Stats{})
+	d.OnFence(65535, 3, ScopeDevice)
+	d.OnAtomicOp(65535, 3, AtomicExch, 0x40, ScopeDevice)
+	d.OnAtomicOp(65535, 3, AtomicRelease, 0x40, ScopeDevice)
+	d.CheckAccess(acc(KindStore, 0x100, 65535, 3))
+	if len(d.locks) != 0 {
+		t.Fatalf("fence, Exch, release and access made a %d-block lock directory, want none", len(d.locks))
+	}
+	d.OnAtomicOp(4, 70, AtomicCAS, 0x40, ScopeDevice)
+	if len(d.locks) != 5 || d.locks[4] == nil {
+		t.Fatalf("a CAS on block 4 made a %d-block directory, want 5 with block 4's tables", len(d.locks))
+	}
+	d.OnFence(4, 6, ScopeDevice) // warp 70 keys as 70 & 63 = 6
+	if d.lockSummary(4, 70).Empty() || d.lockSummary(4, 6).Empty() {
+		t.Fatal("CAS then fence left warp 70 (key 6) without an active lock")
+	}
+	tables := d.locks[4]
+	d.ResetForKernel()
+	if d.locks[4] != tables || *tables != (blockLocks{}) {
+		t.Fatal("kernel start did not zero block 4's lock tables in place")
+	}
+}
+
+// TestLazyLockTablesMatchEager drives the detector and a reference that
+// keeps a lock table for every warp it hears of through the same seeded
+// stream of CAS, Exch, fences, releases, accesses and kernel starts, and
+// compares every warp's lock summary after each call.
+func TestLazyLockTablesMatchEager(t *testing.T) {
+	cfg := config.Default().Detector
+	cfg.Mode = config.ModeFull4B
+	cfg.AcqRel = true
+	for seed := int64(1); seed <= 3; seed++ {
+		d := NewDetector(cfg, 1<<16, 0, &stats.Stats{})
+		ref := map[[2]int]*LockTable{}
+		table := func(block, warp int) *LockTable {
+			k := [2]int{block, warp & 63}
+			if ref[k] == nil {
+				ref[k] = &LockTable{}
+			}
+			return ref[k]
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for step := 0; step < 5000; step++ {
+			block, warp := rng.Intn(6), rng.Intn(70)
+			addr := uint64(rng.Intn(8)) * 4
+			scope := ScopeDevice
+			if rng.Intn(2) == 0 {
+				scope = ScopeBlock
+			}
+			switch rng.Intn(12) {
+			case 0:
+				d.ResetForKernel()
+				clear(ref)
+			case 1, 2, 3:
+				d.OnAtomicOp(block, warp, AtomicCAS, addr, scope)
+				table(block, warp).OnCAS(addr, scope)
+			case 4, 5:
+				d.OnAtomicOp(block, warp, AtomicExch, addr, scope)
+				table(block, warp).OnExch(addr, scope)
+			case 6, 7, 8:
+				d.OnFence(block, warp, scope)
+				table(block, warp).OnFence(scope)
+			case 9:
+				d.OnRelease(block, warp, addr, scope)
+				table(block, warp).OnFence(scope)
+				table(block, warp).OnExch(addr, scope)
+			default:
+				d.CheckAccess(acc(KindStore, 0x100+addr, block, warp))
+			}
+			for b := 0; b < 6; b++ {
+				for w := 0; w < 64; w++ {
+					var want Bloom
+					if lt := ref[[2]int{b, w}]; lt != nil {
+						want = lt.Summary()
+					}
+					if got := d.lockSummary(b, w); got != want {
+						t.Fatalf("seed %d step %d: b%d/w%d summary %#x, reference %#x", seed, step, b, w, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNewDetectorAllocBytes gates what building a base-design detector
+// for the default 2 MB arena and starting a kernel on it allocates, at
+// 1 KB: the detector and its metadata store, with no page directory,
+// fence file or lock table until a trace touches them. The dense page
+// directory, inline fence file and release-file maps made it 19,200
+// bytes.
+func TestNewDetectorAllocBytes(t *testing.T) {
+	cfg := config.Default().Detector
+	cfg.Mode = config.ModeFull4B
+	var st stats.Stats
+	const n = 100
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range n {
+		d := NewDetector(cfg, 1<<19, 1<<21, &st)
+		d.ResetForKernel()
+		benchDet = d
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("%d bytes per detector", per)
+	if per > 1024 {
+		t.Errorf("NewDetector plus ResetForKernel allocated %d bytes, want at most 1 KB", per)
 	}
 }

@@ -18,8 +18,12 @@ type fenceEntry struct {
 // the combination of threadblock and warp ID (Figure 6). Like the
 // hardware's, it is indexed by the low bits of the block ID, so it aliases
 // for grids beyond 128 concurrently-tracked blocks.
+//
+// Rows (one per block slot) are grown on the first fence of a slot; a
+// slot past the grown rows reads as zero counters. The zero value is an
+// empty file that costs nothing until a warp fences.
 type FenceFile struct {
-	entries [128][32]fenceEntry
+	rows [][32]fenceEntry
 }
 
 func ffIndex(blockID, warpID int) (int, int) {
@@ -32,7 +36,10 @@ func ffIndex(blockID, warpID int) (int, int) {
 // counters, so a device fence also discharges block-level ordering.
 func (f *FenceFile) OnFence(blockID, warpID int, scope Scope) {
 	b, w := ffIndex(blockID, warpID)
-	e := &f.entries[b][w]
+	if b >= len(f.rows) {
+		f.rows = append(f.rows, make([][32]fenceEntry, b+1-len(f.rows))...)
+	}
+	e := &f.rows[b][w]
 	if scope == ScopeBlock {
 		e.blk = (e.blk + 1) & fenceIDMask
 	} else {
@@ -43,9 +50,13 @@ func (f *FenceFile) OnFence(blockID, warpID int, scope Scope) {
 // Get returns the current fence IDs of a warp.
 func (f *FenceFile) Get(blockID, warpID int) (blk, dev uint8) {
 	b, w := ffIndex(blockID, warpID)
-	e := f.entries[b][w]
+	if b >= len(f.rows) {
+		return 0, 0
+	}
+	e := f.rows[b][w]
 	return e.blk, e.dev
 }
 
-// Reset zeroes every counter (kernel boundary).
-func (f *FenceFile) Reset() { f.entries = [128][32]fenceEntry{} }
+// Reset zeroes every counter (kernel boundary): the rows grown so far are
+// cleared in place.
+func (f *FenceFile) Reset() { clear(f.rows) }

@@ -105,3 +105,33 @@ func TestFenceIDWraparound(t *testing.T) {
 		t.Fatalf("counter did not wrap: %d", b)
 	}
 }
+
+// TestFenceFileGrowsByRow: a row is grown on its slot's first fence, a
+// slot past the grown rows reads zero counters, the block ID aliases on
+// its low seven bits, and Reset zeroes the rows that exist.
+func TestFenceFileGrowsByRow(t *testing.T) {
+	var ff FenceFile
+	if b, d := ff.Get(127, 31); b != 0 || d != 0 || len(ff.rows) != 0 {
+		t.Fatalf("empty file reads (%d, %d) with %d rows, want (0, 0) and none", b, d, len(ff.rows))
+	}
+	ff.OnFence(2, 5, ScopeDevice)
+	if len(ff.rows) != 3 {
+		t.Fatalf("a fence on block 2 grew %d rows, want 3", len(ff.rows))
+	}
+	if _, d := ff.Get(130, 5); d != 1 {
+		t.Fatalf("block 130 reads device counter %d, want block 2's 1 (slot = block & 127)", d)
+	}
+	ff.OnFence(65535, 0, ScopeBlock)
+	if len(ff.rows) != 128 {
+		t.Fatalf("a fence on block 65,535 grew %d rows, want 128", len(ff.rows))
+	}
+	if b, _ := ff.Get(127, 0); b != 1 {
+		t.Fatalf("block 127 reads block counter %d, want block 65,535's 1", b)
+	}
+	ff.Reset()
+	for _, bw := range [][2]int{{2, 5}, {127, 0}} {
+		if b, d := ff.Get(bw[0], bw[1]); b != 0 || d != 0 {
+			t.Errorf("after Reset b%d/w%d reads (%d, %d), want (0, 0)", bw[0], bw[1], b, d)
+		}
+	}
+}

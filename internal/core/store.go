@@ -21,13 +21,14 @@ import (
 //
 // Host storage is paged: the numEntries logical entries are split into
 // fixed pages that materialize on first write, and a page never written
-// since the last Reset reads as InitEntry. Construction and Reset
-// therefore cost what a kernel touches, not the size of the arena, while
-// entry indices and modelled addresses are those of one dense array.
+// since the last Reset reads as InitEntry. The page directory grows only
+// up to the highest page written, so construction allocates nothing
+// sized by the arena and Reset costs what a kernel touched, while entry
+// indices and modelled addresses are those of one dense array.
 type MetaStore struct {
 	mode       config.DetectorMode
 	numEntries int
-	pages      []*metaPage // nil: every entry of the page is InitEntry
+	pages      []*metaPage // up to the highest page written; nil or past the end: InitEntry
 	touched    []int       // pages materialized since the last Reset
 	free       []*metaPage // pages released by Reset, reused first
 	grpShift   uint        // granularity modes: log2(words per entry)
@@ -65,7 +66,6 @@ func NewMetaStore(mode config.DetectorMode, totalWords, cacheRatio int, metaBase
 	default:
 		panic(fmt.Sprintf("core: MetaStore for mode %v", mode))
 	}
-	s.pages = make([]*metaPage, (s.numEntries+pageMask)>>pageShift)
 	return s
 }
 
@@ -110,8 +110,10 @@ func (s *MetaStore) Lookup(wordIdx int) (idx int, e Entry, tag uint8, tagOK bool
 		panic(fmt.Sprintf("core: word %d outside the %d-entry metadata store", wordIdx, s.numEntries))
 	}
 	e = InitEntry
-	if p := s.pages[idx>>pageShift]; p != nil {
-		e = p[idx&pageMask]
+	if pi := idx >> pageShift; pi < len(s.pages) {
+		if p := s.pages[pi]; p != nil {
+			e = p[idx&pageMask]
+		}
 	}
 	if s.mode == config.ModeCached {
 		// An initialized entry is owned by nobody yet: any tag may claim it.
@@ -124,7 +126,10 @@ func (s *MetaStore) Lookup(wordIdx int) (idx int, e Entry, tag uint8, tagOK bool
 
 // Update writes back an entry at an index Lookup returned.
 func (s *MetaStore) Update(idx int, e Entry) {
-	p := s.pages[idx>>pageShift]
+	var p *metaPage
+	if pi := idx >> pageShift; pi < len(s.pages) {
+		p = s.pages[pi]
+	}
 	if p == nil {
 		p = s.materialize(idx)
 	}
@@ -132,8 +137,12 @@ func (s *MetaStore) Update(idx int, e Entry) {
 }
 
 // materialize backs the page holding entry idx with storage holding
-// InitEntry throughout, reusing a released page when there is one.
+// InitEntry throughout, reusing a released page when there is one. The
+// directory grows to reach the page.
 func (s *MetaStore) materialize(idx int) *metaPage {
+	if pi := idx >> pageShift; pi >= len(s.pages) {
+		s.pages = append(s.pages, make([]*metaPage, pi+1-len(s.pages))...)
+	}
 	var p *metaPage
 	if n := len(s.free); n > 0 {
 		p, s.free = s.free[n-1], s.free[:n-1]

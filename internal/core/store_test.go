@@ -149,3 +149,28 @@ func TestMetaStoreCostsTouchedPages(t *testing.T) {
 		t.Errorf("entry after Reset = %#x, want InitEntry", uint64(e))
 	}
 }
+
+// TestMetaStoreDirectoryGrowsToHighestWrite: the page directory starts
+// empty and grows only to the highest page written; a lookup past it
+// reads InitEntry at the index and modelled address of the dense table.
+func TestMetaStoreDirectoryGrowsToHighestWrite(t *testing.T) {
+	const metaBase = 1 << 21
+	s := NewMetaStore(config.ModeFull4B, 1<<19, 16, metaBase)
+	if len(s.pages) != 0 {
+		t.Fatalf("a fresh store has a %d-page directory, want none", len(s.pages))
+	}
+	s.Update(3*pageLen+1, InitEntry.WithTag(1))
+	if len(s.pages) != 4 {
+		t.Fatalf("a write to page 3 grew the directory to %d pages, want 4", len(s.pages))
+	}
+	last := 1<<19 - 1
+	idx, e, _, ok := s.Lookup(last)
+	if idx != last || e != InitEntry || !ok || s.AddrOf(idx) != metaBase+uint64(last)*8 {
+		t.Errorf("Lookup(%d) past the directory = (%d, %#x, %v) at %#x, want InitEntry at index %d",
+			last, idx, uint64(e), ok, s.AddrOf(idx), last)
+	}
+	s.Reset()
+	if _, e, _, _ := s.Lookup(3*pageLen + 1); e != InitEntry {
+		t.Errorf("entry after Reset = %#x, want InitEntry", uint64(e))
+	}
+}

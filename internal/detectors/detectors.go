@@ -88,10 +88,14 @@ func (m *model) OnAtomicOp(block, warp int, op core.AtomicOp, addr uint64, scope
 // two different warps in one kernel when the second write changes the
 // value (silent stores are invisible to value diffing), and ignores all
 // synchronization — fences, atomics and locks alike.
+//
+// Both maps are made on their first write. A kernel start drops the
+// writers map rather than clearing it: clearing costs the capacity the
+// largest kernel grew it to, at every launch after it.
 type ldetector struct {
-	writers map[uint64]ldWrite
+	writers map[uint64]ldWrite // this kernel's last writer per address
 	records []core.Record
-	seen    map[uint64]bool
+	seen    map[uint64]bool // addresses already reported
 }
 
 type ldWrite struct {
@@ -99,15 +103,11 @@ type ldWrite struct {
 }
 
 // NewLDetector returns the snapshot-diff model.
-func NewLDetector() core.Checker {
-	return &ldetector{writers: make(map[uint64]ldWrite), seen: make(map[uint64]bool)}
-}
+func NewLDetector() core.Checker { return &ldetector{} }
 
 func (l *ldetector) Name() string { return "LDetector" }
 
-func (l *ldetector) OnKernelStart() {
-	l.writers = make(map[uint64]ldWrite)
-}
+func (l *ldetector) OnKernelStart() { l.writers = nil }
 
 func (l *ldetector) OnAccess(a core.Access) {
 	if a.Kind != core.KindStore {
@@ -116,6 +116,9 @@ func (l *ldetector) OnAccess(a core.Access) {
 	w, ok := l.writers[a.Addr]
 	if ok && (w.block != a.Block || w.warp != a.Warp) {
 		if !l.seen[a.Addr] {
+			if l.seen == nil {
+				l.seen = make(map[uint64]bool)
+			}
 			l.seen[a.Addr] = true
 			kind := core.RaceMissingDeviceFence
 			same := w.block == a.Block
@@ -135,6 +138,9 @@ func (l *ldetector) OnAccess(a core.Access) {
 				Count:     1,
 			})
 		}
+	}
+	if l.writers == nil {
+		l.writers = make(map[uint64]ldWrite)
 	}
 	l.writers[a.Addr] = ldWrite{block: a.Block, warp: a.Warp}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 )
 
@@ -36,19 +37,33 @@ func replayRequestPath(tb testing.TB) func() {
 }
 
 // TestReplayRequestAllocs gates the heap allocations of one request at
-// 260. A request that replays the stored ops and renders only the text
-// body makes 223; re-opening the raw upload, capturing provenance and
-// rendering the JSON body as well, with the span tree serialized at
-// finish, made 373.
+// 260 and its heap bytes at 64 KB. A request that replays the stored ops
+// and renders only the text body makes 205 allocations; re-opening the
+// raw upload, capturing provenance and rendering the JSON body as well,
+// with the span tree serialized at finish, made 373. Its bytes are
+// mostly the five models and the body: a request allocates about 42 KB,
+// where models with arena- and grid-sized state from construction on
+// took 141.7 KB.
 func TestReplayRequestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
 	req := replayRequestPath(t)
 	allocs := testing.AllocsPerRun(200, req)
-	t.Logf("%.0f allocations per request", allocs)
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		req()
+	}
+	runtime.ReadMemStats(&after)
+	perReq := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%.0f allocations, %d bytes per request", allocs, perReq)
 	if allocs > 260 {
 		t.Errorf("one replay request made %.0f allocations, want at most 260", allocs)
+	}
+	if perReq > 64<<10 {
+		t.Errorf("one replay request allocated %d bytes, want at most 64 KB", perReq)
 	}
 }
 

@@ -62,7 +62,8 @@ type Config struct {
 	// MaxStoreBytes caps what the store retains across traces: each
 	// trace's decoded ops at unsafe.Sizeof(tracefile.Op{}) bytes per op
 	// and its Controls at unsafe.Sizeof(tracefile.Control{}) each, plus
-	// its raw length (507 beyond it).
+	// its raw length (507 beyond what is left of it, 413 when an upload's
+	// reservation exceeds all of it).
 	MaxUploadBytes int64
 	MaxStoreBytes  int64
 
@@ -256,6 +257,13 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	tr, dup, err := s.store.Put(raw)
 	admit.Finish()
 	if err != nil {
+		var tooLarge *TooLargeError
+		if errors.As(err, &tooLarge) {
+			rt.status = http.StatusRequestEntityTooLarge
+			http.Error(w, fmt.Sprintf("upload reserves %d bytes before decoding, more than the whole store holds (-max-store-bytes %d)",
+				tooLarge.Reserve, tooLarge.MaxBytes), http.StatusRequestEntityTooLarge)
+			return
+		}
 		if errors.Is(err, ErrStoreFull) {
 			rt.status = http.StatusInsufficientStorage
 			http.Error(w, err.Error(), http.StatusInsufficientStorage)

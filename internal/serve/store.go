@@ -20,6 +20,21 @@ import (
 // byte budget.
 var ErrStoreFull = errors.New("serve: trace store full")
 
+// TooLargeError reports an upload whose reservation alone exceeds the
+// store's whole byte budget: no store of that budget could admit it, so,
+// unlike a full store, waiting for room cannot help. It wraps
+// ErrStoreFull.
+type TooLargeError struct {
+	Reserve  int64 // bytes the upload reserves before decoding
+	MaxBytes int64 // the store's whole budget
+}
+
+func (e *TooLargeError) Error() string {
+	return fmt.Sprintf("%v: upload costs %d bytes, more than the whole %d-byte budget", ErrStoreFull, e.Reserve, e.MaxBytes)
+}
+
+func (e *TooLargeError) Unwrap() error { return ErrStoreFull }
+
 // opBytes and controlBytes are what one decoded op and one Control cost
 // the store's byte budget.
 const (
@@ -107,9 +122,10 @@ func openTrace(raw []byte) (*tracefile.Reader, error) {
 // the trace, through every check tracefile.Reader makes (block CRCs,
 // varint shapes, arena bounds, the end block's counts), and refuses any
 // access, fence or barrier of a block at or beyond maxBlocks: every
-// detector-backed model grows a 32-byte lock table per warp up to the
-// largest block ID it sees, so one store at block 2^31 would ask each
-// model for 4 TiB, an out-of-memory crash no recover contains.
+// detector-backed model grows an 8-byte lock-directory slot per block
+// up to the largest block that issues a CAS, so one CAS at block 2^31
+// would ask each model for 16 GiB, an out-of-memory crash no recover
+// contains.
 func readOps(rd *tracefile.Reader) (ops []tracefile.Op, accesses, kernels int, err error) {
 	ops, err = rd.ReadAll()
 	if err != nil {
@@ -139,17 +155,23 @@ func readOps(rd *tracefile.Reader) (ops []tracefile.Op, accesses, kernels int, e
 // an op and a Control for each op its end block declares, since ReadAll
 // allocates no more of either. So an upload whose decoded ops could not
 // fit is refused before they are allocated. Decoding settles the charge
-// to the ops and Control chunks it did allocate.
+// to the ops and Control chunks it did allocate. An upload that could not
+// fit even an empty store gets a *TooLargeError, one that does not fit
+// beside the traces held ErrStoreFull.
 func (st *Store) Put(raw []byte) (tr *Trace, dup bool, err error) {
 	rd, err := openTrace(raw)
 	if err != nil {
 		st.rejected.Add(1)
 		return nil, false, err
 	}
-	sum := sha256.Sum256(raw)
-	id := hex.EncodeToString(sum[:])
 	n := tracefile.DeclaredOps(raw)
 	reserve := traceCost(n, n, raw)
+	if reserve > st.maxBytes {
+		st.rejected.Add(1)
+		return nil, false, &TooLargeError{Reserve: reserve, MaxBytes: st.maxBytes}
+	}
+	sum := sha256.Sum256(raw)
+	id := hex.EncodeToString(sum[:])
 
 	st.mu.Lock()
 	for {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -118,8 +121,9 @@ func TestStoreChargesDecodedOps(t *testing.T) {
 }
 
 // TestStoreRefusesOverBudgetDecode: an upload whose raw bytes fit the
-// remaining budget but whose decoded ops do not gets 507, leaves the
-// store unchanged, and is refused before its ops are allocated.
+// remaining budget but whose decoded ops do not is refused, leaves the
+// store unchanged, and is refused before its ops are allocated. Its
+// reservation exceeds the whole budget, so the answer is 413.
 func TestStoreRefusesOverBudgetDecode(t *testing.T) {
 	raw := traceBytes(t)
 	flood := fenceFlood(t, 50_000)
@@ -137,8 +141,8 @@ func TestStoreRefusesOverBudgetDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusInsufficientStorage {
-		t.Errorf("over-budget upload status = %d, want 507", resp.StatusCode)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("over-budget upload status = %d, want 413", resp.StatusCode)
 	}
 	if ids := s.Store().IDs(); len(ids) != 1 || ids[0] != id {
 		t.Errorf("store holds %v, want only %s", ids, id)
@@ -162,6 +166,60 @@ func TestStoreRefusesOverBudgetDecode(t *testing.T) {
 	t.Logf("refusing %d raw bytes that decode to %d allocated %d bytes", len(flood), floodCost, alloc)
 	if alloc > 2*uint64(len(flood)) {
 		t.Errorf("refusing a %d-byte upload allocated %d bytes, want at most twice its size", len(flood), alloc)
+	}
+}
+
+// TestUploadOverBudgetStatus: an upload whose reservation exceeds the
+// whole budget gets 413 naming the reservation and -max-store-bytes, since
+// no wait lets it in; one that fits an empty store but not beside the
+// traces held gets 507. Both leave the store unchanged, and Put's errors
+// match ErrStoreFull.
+func TestUploadOverBudgetStatus(t *testing.T) {
+	raw := traceBytes(t)
+	flood := fenceFlood(t, 1000)
+	reserve := int64(1000+2)*(opBytes+controlBytes) + int64(len(flood))
+
+	post := func(ts *httptest.Server) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(flood))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+
+	s, ts := newTestServer(t, Config{MaxStoreBytes: reserve - 1})
+	code, body := post(ts)
+	want := fmt.Sprintf("reserves %d bytes", reserve)
+	if code != http.StatusRequestEntityTooLarge || !strings.Contains(body, want) ||
+		!strings.Contains(body, fmt.Sprintf("-max-store-bytes %d", reserve-1)) {
+		t.Errorf("upload reserving %d bytes into a %d-byte store: %d %q, want 413 naming both", reserve, reserve-1, code, body)
+	}
+	if n := len(s.Store().IDs()); n != 0 || s.Store().used != 0 {
+		t.Errorf("after the 413: %d traces, %d bytes used, want none", n, s.Store().used)
+	}
+	var tooLarge *TooLargeError
+	if _, _, err := NewStore(reserve - 1).Put(flood); !errors.As(err, &tooLarge) || !errors.Is(err, ErrStoreFull) {
+		t.Errorf("Put into a %d-byte store = %v, want a *TooLargeError matching ErrStoreFull", reserve-1, err)
+	}
+
+	s, ts = newTestServer(t, Config{MaxStoreBytes: reserve})
+	upload(t, ts, raw)
+	used := s.Store().used
+	if code, body := post(ts); code != http.StatusInsufficientStorage {
+		t.Errorf("upload reserving %d bytes into a %d-byte store holding %d: %d %q, want 507", reserve, reserve, used, code, body)
+	}
+	if n := len(s.Store().IDs()); n != 1 || s.Store().used != used {
+		t.Errorf("after the 507: %d traces, %d bytes used, want 1 and %d", n, s.Store().used, used)
+	}
+	st := NewStore(reserve)
+	if _, _, err := st.Put(raw); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Put(flood); !errors.Is(err, ErrStoreFull) || errors.As(err, &tooLarge) {
+		t.Errorf("Put into a %d-byte store holding a trace = %v, want ErrStoreFull but no *TooLargeError", reserve, err)
 	}
 }
 
