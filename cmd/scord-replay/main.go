@@ -37,7 +37,6 @@ import (
 	"scord/internal/analysis/predict"
 	"scord/internal/config"
 	"scord/internal/harness"
-	"scord/internal/mem"
 	"scord/internal/replay"
 	"scord/internal/scor"
 	"scord/internal/scor/micro"
@@ -444,13 +443,7 @@ func observedTuples(h tracefile.Header, ops []tracefile.Op) (map[predict.Tuple]b
 	if err != nil {
 		return nil, err
 	}
-	observed := map[predict.Tuple]bool{}
-	for _, rec := range res.Races {
-		if al, ok := res.Mem.Locate(mem.Addr(rec.Addr)); ok {
-			observed[predict.Tuple{Alloc: al.Name, Kind: rec.Kind}] = true
-		}
-	}
-	return observed, nil
+	return predict.TuplesOf(res.Races, res.Mem), nil
 }
 
 func runTable8(args []string, stdout, stderr io.Writer) int {

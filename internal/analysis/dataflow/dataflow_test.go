@@ -124,7 +124,7 @@ func kernelFunc(t *testing.T, pkg *framework.Package, name string) *FuncVal {
 	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == name {
-				return DeclFunc(pkg, fd, nil)
+				return declFunc(pkg, fd)
 			}
 		}
 	}
@@ -154,13 +154,13 @@ func K(c *gpu.Ctx, a mem.Addr) {
 		t.Fatalf("trace = %d ops, want 3", len(res.Trace))
 	}
 	b0, s, g := res.Trace[0].Addr, res.Trace[1].Addr, res.Trace[2].Addr
-	if b0.Aff != AffBlock || b0.Deps.Prov() != ProvWarpDerived {
-		t.Errorf("b0: Aff=%v Prov=%v, want AffBlock/warp-derived", b0.Aff, b0.Deps.Prov())
+	if b0.Deps != DepBlock || !b0.BlockVarying() || b0.CrossDerived() {
+		t.Errorf("b0: Deps=%v, want block-derived only", b0.Deps)
 	}
-	if s.Aff != AffNone || s.Deps&DepWarp == 0 {
-		t.Errorf("s: Aff=%v Deps=%v, want AffNone with warp dep", s.Aff, s.Deps)
+	if s.Deps != DepBlock|DepWarp || s.CrossDerived() {
+		t.Errorf("s: Deps=%v, want block and warp deps", s.Deps)
 	}
-	if !g.CrossDerived() || g.Deps.Prov() != ProvCrossBlock {
+	if !g.CrossDerived() || !g.BlockVarying() {
 		t.Errorf("g: Deps=%v, want cross-block provenance", g.Deps)
 	}
 	for i, op := range res.Trace {
@@ -189,157 +189,22 @@ func K(c *gpu.Ctx, a mem.Addr) {
 }
 `)
 	res := Run(w, kernelFunc(t, kern, "K"), nil)
-	if res.Fuzzy {
-		t.Error("constant-trip loop must not make phases fuzzy")
-	}
-	var phases []int
+	// Barriers record nothing, and the loop body is interpreted twice:
+	// store, store(×2 in loop), store.
 	var loopDeps []Dep
 	for _, op := range res.Trace {
 		if op.Kind == OpStore {
-			phases = append(phases, op.Phase)
 			loopDeps = append(loopDeps, op.Addr.Deps)
 		}
 	}
-	// Loop body is interpreted twice: store, store(×2 in loop), store.
-	if len(phases) != 4 {
-		t.Fatalf("stores = %d, want 4", len(phases))
+	if len(res.Trace) != 4 || len(loopDeps) != 4 {
+		t.Fatalf("trace = %d ops with %d stores, want 4 stores", len(res.Trace), len(loopDeps))
 	}
-	if phases[0] != 0 || phases[1] != 1 || phases[3] != 2 {
-		t.Errorf("phases = %v, want [0 1 1 2]", phases)
+	if loopDeps[1]&DepLoop != 0 {
+		t.Errorf("first loop pass addr deps = %v, want no DepLoop before widening", loopDeps[1])
 	}
 	if loopDeps[2]&DepLoop == 0 {
 		t.Errorf("second loop pass addr deps = %v, want DepLoop widening", loopDeps[2])
-	}
-}
-
-func TestFuzzyBarrierInUnboundedLoop(t *testing.T) {
-	w, kern := buildWorld(t, `package kern
-
-import (
-	"x/internal/gpu"
-	"x/internal/mem"
-)
-
-func K(c *gpu.Ctx, a mem.Addr) {
-	for c.Load(a) != 0 {
-		c.SyncThreads()
-	}
-}
-`)
-	res := Run(w, kernelFunc(t, kern, "K"), nil)
-	if !res.Fuzzy {
-		t.Error("barrier in data-dependent loop must mark phases fuzzy")
-	}
-}
-
-func TestGuardsAndPins(t *testing.T) {
-	w, kern := buildWorld(t, `package kern
-
-import (
-	"x/internal/gpu"
-	"x/internal/mem"
-)
-
-func K(c *gpu.Ctx, a mem.Addr, flag bool) {
-	if c.Warp == 0 {
-		c.Store(a, 1)
-	}
-	if c.Block == 1 {
-		c.Store(a, 2)
-	}
-	if flag {
-		c.Store(a, 3)
-	}
-}
-`)
-	res := Run(w, kernelFunc(t, kern, "K"), nil)
-	if len(res.Trace) != 3 {
-		t.Fatalf("trace = %d ops, want 3", len(res.Trace))
-	}
-	if g := res.Trace[0].Guards; len(g) != 1 || g[0].Pin != PinWarp || g[0].Key != "0" {
-		t.Errorf("warp guard = %+v, want PinWarp key 0", g)
-	}
-	if g := res.Trace[1].Guards; len(g) != 1 || g[0].Pin != PinBlock {
-		t.Errorf("block guard = %+v, want PinBlock", g)
-	}
-	if !res.Trace[2].Conditional() {
-		t.Error("flag-guarded store must be Conditional")
-	}
-}
-
-func TestLockInference(t *testing.T) {
-	w, kern := buildWorld(t, `package kern
-
-import (
-	"x/internal/gpu"
-	"x/internal/mem"
-)
-
-func lock(c *gpu.Ctx, l mem.Addr) {
-	for i := 0; i < 100; i++ {
-		if c.AtomicCAS(l, 0, 1, gpu.ScopeDevice) == 0 {
-			return
-		}
-	}
-}
-
-func K(c *gpu.Ctx, a, l mem.Addr) {
-	lock(c, l)
-	c.Fence(gpu.ScopeDevice)
-	v := c.Load(a)
-	c.Store(a, v+1)
-	c.Fence(gpu.ScopeDevice)
-	c.AtomicExch(l, 0, gpu.ScopeDevice)
-}
-`)
-	res := Run(w, kernelFunc(t, kern, "K"), nil)
-	var cs *Op
-	for _, op := range res.Trace {
-		if op.Kind == OpStore {
-			cs = op
-		}
-	}
-	if cs == nil {
-		t.Fatal("no store recorded")
-	}
-	if len(cs.Locks) != 1 {
-		t.Fatalf("store holds %d locks, want 1", len(cs.Locks))
-	}
-	li := cs.Locks[0]
-	if !li.CasScope.MayDevice() || li.CasScope.MayBlock() {
-		t.Errorf("cas scope = %v, want {Device}", li.CasScope)
-	}
-	if li.AcqFenceMissing || li.AcqFenceMaybe {
-		t.Errorf("acquire fence flags = missing:%v maybe:%v, want clean", li.AcqFenceMissing, li.AcqFenceMaybe)
-	}
-	if !li.Released || li.RelFenceMissing || !li.RelExch.MayDevice() {
-		t.Errorf("release = %+v, want released with device fence+exch", li)
-	}
-}
-
-func TestScopeJoinAcrossBranches(t *testing.T) {
-	w, kern := buildWorld(t, `package kern
-
-import (
-	"x/internal/gpu"
-	"x/internal/mem"
-)
-
-func K(c *gpu.Ctx, a mem.Addr, inject bool) {
-	s := gpu.ScopeDevice
-	if inject {
-		s = gpu.ScopeBlock
-	}
-	c.AtomicAdd(a, 1, s)
-}
-`)
-	res := Run(w, kernelFunc(t, kern, "K"), nil)
-	if len(res.Trace) != 1 {
-		t.Fatalf("trace = %d ops, want 1", len(res.Trace))
-	}
-	sc := res.Trace[0].Scope
-	if !sc.MayBlock() || !sc.MayDevice() {
-		t.Errorf("scope = %v, want {Block,Device}", sc)
 	}
 }
 
@@ -410,22 +275,17 @@ func K(c *gpu.Ctx, a mem.Addr) {
 			stores = append(stores, op)
 		}
 	}
-	if len(atomics) != 1 {
-		t.Fatalf("inlined helper atomics = %d, want 1", len(atomics))
+	if len(atomics) != 1 || atomics[0].Method != "AtomicAdd" || len(atomics[0].Addr.Bases) != 1 {
+		t.Fatalf("inlined helper atomics = %+v, want one AtomicAdd on the $a base", atomics)
 	}
-	if !atomics[0].Scope.OnlyBlock() {
-		t.Errorf("helper atomic scope = %v, want {Block}", atomics[0].Scope)
-	}
+	// Diverged and converged stores alike are recorded, in order, on
+	// their own addresses.
 	if len(stores) != 3 {
 		t.Fatalf("stores = %d, want 3", len(stores))
 	}
-	if stores[0].Lane == nil || *stores[0].Lane != 0 || stores[1].Lane == nil || *stores[1].Lane != 1 {
-		t.Errorf("lanes = %v %v, want 0 and 1", stores[0].Lane, stores[1].Lane)
-	}
-	if stores[0].Converged != stores[1].Converged {
-		t.Error("diverged stores must share a convergence region")
-	}
-	if stores[2].Lane != nil || stores[2].Converged == stores[0].Converged {
-		t.Error("post-Converge store must be lane-free in a new region")
+	for i, want := range []string{"a", "a + 1", "a"} {
+		if got := types.ExprString(stores[i].AddrExpr); got != want {
+			t.Errorf("store %d addr = %s, want %s", i, got, want)
+		}
 	}
 }

@@ -15,19 +15,13 @@ func (it *Interp) resolveObj(id *ast.Ident) types.Object {
 	return it.pkg.Info.Defs[id]
 }
 
-// scopeConst maps a ScopeBlock/ScopeDevice constant object to its bit.
-func scopeConst(obj types.Object) (ScopeSet, bool) {
+// isScopeConst reports whether obj is the ScopeBlock or ScopeDevice
+// constant. The interpreter keeps scope constants opaque rather than
+// folding them to integers, so a branch on a scope value is never
+// decided statically and both arms stay in the trace.
+func isScopeConst(obj types.Object) bool {
 	c, ok := obj.(*types.Const)
-	if !ok {
-		return 0, false
-	}
-	switch c.Name() {
-	case "ScopeBlock":
-		return ScopeBlockBit, true
-	case "ScopeDevice":
-		return ScopeDeviceBit, true
-	}
-	return 0, false
+	return ok && (c.Name() == "ScopeBlock" || c.Name() == "ScopeDevice")
 }
 
 // constFold extracts the type checker's constant value for e, if any.
@@ -94,21 +88,18 @@ func (it *Interp) eval(e ast.Expr) Value {
 	case *ast.IndexExpr:
 		base := it.eval(x.X)
 		idx := it.eval(x.Index)
-		v := Value{
+		return Value{
 			Deps:    base.Deps | idx.Deps,
 			Bases:   base.Bases,
 			AnyBase: base.AnyBase,
-			Aff:     base.Aff,
 			Fields:  base.Fields,
 		}
-		return dropAffIfMixed(v)
 	case *ast.SliceExpr:
 		return it.eval(x.X)
 	case *ast.CompositeLit:
 		return it.evalComposite(x)
 	case *ast.FuncLit:
 		return Value{Funcs: []*FuncVal{{
-			Name: "funclit",
 			Pkg:  it.pkg,
 			Type: x.Type,
 			Body: x.Body,
@@ -135,8 +126,8 @@ func (it *Interp) evalIdent(id *ast.Ident) Value {
 		}
 		return Value{Deps: DepUnknown}
 	}
-	if s, ok := scopeConst(obj); ok {
-		return Value{Scopes: s}
+	if isScopeConst(obj) {
+		return Value{}
 	}
 	if v, ok := it.state[obj]; ok {
 		return v
@@ -154,7 +145,7 @@ func (it *Interp) evalIdent(id *ast.Ident) Value {
 		return Value{}
 	case *types.Func:
 		if dc, ok := it.w.FuncBody(o); ok {
-			return Value{Funcs: []*FuncVal{DeclFunc(dc.pkg, dc.decl, nil)}}
+			return Value{Funcs: []*FuncVal{declFunc(dc.pkg, dc.decl)}}
 		}
 		return Value{Deps: DepUnknown}
 	case *types.Nil:
@@ -170,7 +161,7 @@ func (it *Interp) evalSelector(sel *ast.SelectorExpr) Value {
 	if tv, ok := it.pkg.Info.Types[sel.X]; ok && IsCtxPtr(tv.Type) {
 		switch sel.Sel.Name {
 		case "Block":
-			return Value{Deps: DepBlock, Aff: AffBlock}
+			return Value{Deps: DepBlock}
 		case "Warp":
 			return Value{Deps: DepWarp}
 		case "Blocks":
@@ -181,8 +172,8 @@ func (it *Interp) evalSelector(sel *ast.SelectorExpr) Value {
 	}
 	// Package-qualified constant / function.
 	if obj := it.pkg.Info.Uses[sel.Sel]; obj != nil {
-		if s, ok := scopeConst(obj); ok {
-			return Value{Scopes: s}
+		if isScopeConst(obj) {
+			return Value{}
 		}
 		if c, ok := obj.(*types.Const); ok {
 			_ = c
@@ -192,7 +183,7 @@ func (it *Interp) evalSelector(sel *ast.SelectorExpr) Value {
 		}
 		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() == nil {
 			if dc, ok := it.w.FuncBody(fn); ok {
-				return Value{Funcs: []*FuncVal{DeclFunc(dc.pkg, dc.decl, nil)}}
+				return Value{Funcs: []*FuncVal{declFunc(dc.pkg, dc.decl)}}
 			}
 		}
 	}
@@ -235,7 +226,7 @@ func (it *Interp) evalUnary(x *ast.UnaryExpr) Value {
 }
 
 // binary combines two abstract values under an arithmetic or comparison
-// operator, maintaining the block-affinity classification.
+// operator, folding constants.
 func (it *Interp) binary(a, b Value, op token.Token) Value {
 	switch op {
 	case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
@@ -289,7 +280,6 @@ func (it *Interp) binary(a, b Value, op token.Token) Value {
 		Deps:    a.Deps | b.Deps,
 		Bases:   mergeBases(a.Bases, b.Bases),
 		AnyBase: a.AnyBase || b.AnyBase,
-		Scopes:  a.Scopes | b.Scopes,
 	}
 	if ac, ok := a.IsConst(); ok {
 		if bc, ok := b.IsConst(); ok {
@@ -311,66 +301,12 @@ func (it *Interp) binary(a, b Value, op token.Token) Value {
 			}
 		}
 	}
-	switch op {
-	case token.ADD:
-		out.Aff = affAdd(a.Aff, b.Aff)
-	case token.SUB:
-		// b*k1 - b*k2 may cancel the block term; only invariant
-		// subtrahends preserve affinity.
-		if b.Aff == AffInvariant {
-			out.Aff = a.Aff
-		} else if a.Aff == AffInvariant && b.Aff == AffInvariant {
-			out.Aff = AffInvariant
-		} else {
-			out.Aff = AffNone
-		}
-	case token.MUL:
-		out.Aff = affMul(a, b)
-	default:
-		// Division, modulo, shifts and bit ops of a block term mix
-		// block ranges (Block/KSlices aliases across blocks).
-		if a.Aff == AffInvariant && b.Aff == AffInvariant {
-			out.Aff = AffInvariant
-		} else {
-			out.Aff = AffNone
-		}
-	}
-	return dropAffIfMixed(out)
+	return out
 }
 
 func withMeta(v Value, c int64) Value {
 	v.Const = &c
 	return v
-}
-
-func affAdd(a, b Aff) Aff {
-	switch {
-	case a == AffInvariant && b == AffInvariant:
-		return AffInvariant
-	case a == AffNone || b == AffNone:
-		return AffNone
-	default: // at least one AffBlock, none AffNone
-		return AffBlock
-	}
-}
-
-func affMul(a, b Value) Aff {
-	if az, ok := a.IsConst(); ok && az == 0 {
-		return AffInvariant
-	}
-	if bz, ok := b.IsConst(); ok && bz == 0 {
-		return AffInvariant
-	}
-	switch {
-	case a.Aff == AffInvariant && b.Aff == AffInvariant:
-		return AffInvariant
-	case a.Aff == AffBlock && b.Aff == AffInvariant:
-		return AffBlock
-	case a.Aff == AffInvariant && b.Aff == AffBlock:
-		return AffBlock
-	default:
-		return AffNone
-	}
 }
 
 func (it *Interp) evalComposite(lit *ast.CompositeLit) Value {
@@ -398,7 +334,6 @@ func (it *Interp) evalComposite(lit *ast.CompositeLit) Value {
 		}
 		v = join(v, it.eval(el))
 	}
-	v.Aff = AffNone
 	return v
 }
 
@@ -481,7 +416,7 @@ func (it *Interp) declFuncVal(fn *types.Func) *FuncVal {
 		return nil
 	}
 	if HasCtxParam(dc.pkg.Info, dc.decl.Type) || resultsIncludeFunc(dc.decl.Type) {
-		return DeclFunc(dc.pkg, dc.decl, nil)
+		return declFunc(dc.pkg, dc.decl)
 	}
 	return nil
 }
@@ -526,7 +461,6 @@ func (it *Interp) evalBuiltin(name string, call *ast.CallExpr) Value {
 				v = join(v, it.eval(a))
 			}
 		}
-		v.Aff = AffNone
 		return v
 	case "len", "cap":
 		v := it.eval(call.Args[0])

@@ -20,103 +20,17 @@ const (
 	OpAtomic
 	// OpFence is a memory fence.
 	OpFence
-	// OpBarrier is a block barrier (SyncThreads).
-	OpBarrier
-	// OpConverge closes AtLane divergence.
-	OpConverge
 )
 
-// PinKind says how a guard constrains the executing warp's identity.
-type PinKind uint8
-
-const (
-	// PinNone: no identity constraint.
-	PinNone PinKind = iota
-	// PinWarp: the guard holds for exactly one warp index per block.
-	PinWarp
-	// PinBlock: the guard holds for exactly one block.
-	PinBlock
-	// PinTicket: the guard compares a fetch-add ticket draw against an
-	// executor-invariant value, so at most one executor in the whole grid
-	// satisfies it (the arrive-and-elect idiom: the last arriver's ticket
-	// equals the block count).
-	PinTicket
-)
-
-// Guard is one branch condition an operation executes under.
-type Guard struct {
-	Pin PinKind
-	// Key is the pinned value's expression text; two guards with the
-	// same pin kind and key select the same warp/block.
-	Key string
-	// Unknown marks a condition whose truth the interpreter cannot
-	// decide (injection switches, data-dependent branches): the
-	// operation may or may not execute.
-	Unknown bool
-}
-
-// LockInfo describes one inferred lock acquisition (a CAS(l,0,1) loop,
-// optionally followed by an acquire fence) and, once seen, its release
-// (fence + Exch(l,0)). Operations recorded while the lock is held share
-// the pointer, so release attributes become visible on them afterwards.
-type LockInfo struct {
-	Addr Value
-	// Key is the lock address expression text; two locks with equal
-	// keys and block-affine (or invariant) addresses must-alias within
-	// the pairing relation.
-	Key string
-
-	CasScope ScopeSet
-	// Cond marks an acquisition that is itself conditional (taken under
-	// an undecided branch): the critical section may run unlocked.
-	Cond bool
-
-	AcqFence ScopeSet
-	// AcqFenceMissing: no fence followed the CAS before the first
-	// memory operation.
-	AcqFenceMissing bool
-	// AcqFenceMaybe: a fence followed, but under a branch that may not
-	// be taken.
-	AcqFenceMaybe bool
-
-	Released        bool
-	RelFence        ScopeSet
-	RelFenceMissing bool
-	RelExch         ScopeSet
-
-	casUG int // unknown-guard depth at the CAS
-}
-
-// Op is one recorded kernel memory/synchronization operation.
+// Op is one recorded kernel memory or fence operation.
 type Op struct {
 	Kind     OpKind
 	Method   string
 	Call     *ast.CallExpr
-	Pkg      *framework.Package
 	Addr     Value
 	AddrExpr ast.Expr
-	Scope    ScopeSet
 	Volatile bool
-	Vector   bool
-	Write    bool
-	Read     bool
-	// ReleaseOp/AcquireOp mark the explicit Release/Acquire methods.
-	ReleaseOp bool
-	AcquireOp bool
-	IsCAS     bool
-	IsExch    bool
-	// Lane is the AtLane lane the op executes on, when diverged.
-	Lane *int64
-	// Converged counts Converge ops seen before this op (for ITS
-	// pairing: two lane-tagged ops race only within one divergence
-	// region).
-	Converged int
-	Site      string
-	Phase     int
-	Guards    []Guard
-	Locks     []*LockInfo
-	Index     int
-	ug        int
+	Site     string
 }
 
 // Atomic reports whether the op is in the atomic family.
@@ -126,32 +40,14 @@ func (o *Op) Atomic() bool { return o.Kind == OpAtomic }
 // access.
 func (o *Op) Weak() bool { return (o.Kind == OpLoad || o.Kind == OpStore) && !o.Volatile }
 
-// Mem reports whether the op touches data memory.
-func (o *Op) Mem() bool { return o.Kind == OpLoad || o.Kind == OpStore || o.Kind == OpAtomic }
-
 // Pos returns the op's source position.
 func (o *Op) Pos() token.Pos { return o.Call.Pos() }
-
-// Conditional reports whether any covering guard is undecided.
-func (o *Op) Conditional() bool {
-	for _, g := range o.Guards {
-		if g.Unknown {
-			return true
-		}
-	}
-	return false
-}
 
 // Result is the outcome of interpreting one kernel.
 type Result struct {
 	Trace []*Op
-	// Fuzzy: a barrier executes inside a loop whose trip count is not a
-	// static constant, so barrier phases do not totally order same-block
-	// accesses.
-	Fuzzy bool
 	// BlockBranch: some branch condition depends on block identity.
 	BlockBranch bool
-	Ret         Value
 }
 
 type termKind uint8
@@ -170,24 +66,14 @@ type Interp struct {
 	state map[types.Object]Value
 	outer *Env
 
-	record bool
-	trace  []*Op
-	phase  int
-	fuzzy  bool
-	blockB bool
+	record  bool
+	trace   []*Op
+	blockB  bool
+	curSite string
 
-	guards    []Guard
-	locks     []*LockInfo
-	pending   *LockInfo
-	lastFence *Op
-	curLane   *int64
-	converges int
-	curSite   string
-
-	retVal  []Value // return accumulator stack, one per inlined call
-	depth   int
-	steps   int
-	badLoop int // nesting depth of non-constant-trip loops
+	retVal []Value // return accumulator stack, one per inlined call
+	depth  int
+	steps  int
 }
 
 const maxSteps = 400000
@@ -212,29 +98,12 @@ func Run(w *World, fn *FuncVal, args []*Value) *Result {
 	it.bindParams(fn.Type, args)
 	it.retVal = append(it.retVal, Value{})
 	it.execBlock(fn.Body.List)
-	return &Result{
-		Trace:       it.trace,
-		Fuzzy:       it.fuzzy,
-		BlockBranch: it.blockB,
-		Ret:         it.retVal[0],
-	}
+	return &Result{Trace: it.trace, BlockBranch: it.blockB}
 }
 
-// EvalExpr evaluates one expression in the given outer environment
-// without recording operations. Callers use it to resolve kernel-valued
-// expressions (a FuncLit, an ident bound to a closure, or a call to a
-// kernel factory) into FuncVals they can then Run.
-func EvalExpr(w *World, pkg *framework.Package, outer *Env, e ast.Expr) Value {
-	it := newInterp(w, pkg, outer)
-	it.record = false
-	it.retVal = append(it.retVal, Value{})
-	return it.eval(e)
-}
-
-// DeclFunc wraps a function declaration as a FuncVal with the given
-// captured environment.
-func DeclFunc(pkg *framework.Package, decl *ast.FuncDecl, env *Env) *FuncVal {
-	return &FuncVal{Name: decl.Name.Name, Pkg: pkg, Type: decl.Type, Body: decl.Body, Env: env}
+// declFunc wraps a function declaration as a FuncVal.
+func declFunc(pkg *framework.Package, decl *ast.FuncDecl) *FuncVal {
+	return &FuncVal{Pkg: pkg, Type: decl.Type, Body: decl.Body}
 }
 
 // bindParams installs parameter bindings. A nil arg entry means the
@@ -381,21 +250,8 @@ func (it *Interp) joinStates(a, b map[types.Object]Value) {
 	it.state = merged
 }
 
-func (it *Interp) unknownGuards() int {
-	n := 0
-	for _, g := range it.guards {
-		if g.Unknown {
-			n++
-		}
-	}
-	return n
-}
-
-// execBlock runs a statement list; guards pushed by early-return
-// branches inside it are scoped to it.
+// execBlock runs a statement list.
 func (it *Interp) execBlock(stmts []ast.Stmt) termKind {
-	depth := len(it.guards)
-	defer func() { it.guards = it.guards[:depth] }()
 	for _, s := range stmts {
 		if t := it.execStmt(s); t != termNone {
 			return t
@@ -556,23 +412,16 @@ func (it *Interp) execIf(st *ast.IfStmt) termKind {
 	if cond.BlockVarying() {
 		it.blockB = true
 	}
-	thenGuards := it.guardsFrom(st.Cond, false)
-	elseGuards := it.guardsFrom(st.Cond, true)
 
 	saved := it.copyState()
-	gd := len(it.guards)
-	it.guards = append(it.guards, thenGuards...)
 	t1 := it.execStmt(st.Body)
-	it.guards = it.guards[:gd]
 	thenState := it.state
 
 	it.state = saved
 	var t2 termKind
 	if st.Else != nil {
 		it.state = it.copyState()
-		it.guards = append(it.guards, elseGuards...)
 		t2 = it.execStmt(st.Else)
-		it.guards = it.guards[:gd]
 	}
 	elseState := it.state
 
@@ -583,64 +432,34 @@ func (it *Interp) execIf(st *ast.IfStmt) termKind {
 		}
 		return termBreak
 	case t1 != termNone:
-		// Then-arm leaves: the rest of the enclosing block runs under
-		// the negated condition.
+		// Then-arm leaves: the rest of the enclosing block runs in the
+		// else state.
 		it.state = elseState
-		it.guards = append(it.guards, elseGuards...)
 	case t2 != termNone:
 		it.state = thenState
-		it.guards = append(it.guards, thenGuards...)
 	default:
 		it.joinStates(thenState, elseState)
 	}
 	return termNone
 }
 
-// constTrip reports whether the loop's trip count is a static constant
-// (constant init, constant bound).
-func (it *Interp) constTrip(st *ast.ForStmt) bool {
-	if st.Cond == nil {
-		return false
-	}
-	be, ok := ast.Unparen(st.Cond).(*ast.BinaryExpr)
-	if !ok {
-		return false
-	}
-	lv := it.eval(be.X)
-	rv := it.eval(be.Y)
-	lc := lv.Const != nil || lv.Deps == DepLoop
-	rc := rv.Const != nil || rv.Deps == DepLoop
-	return lc && rc
-}
-
 func (it *Interp) execFor(st *ast.ForStmt) {
 	if st.Init != nil {
 		it.execStmt(st.Init)
 	}
-	entryTrue := st.Cond == nil
-	guardUnknown := false
+	condUnknown := false
 	if st.Cond != nil {
 		cv := it.eval(st.Cond)
 		if b, ok := constBool(cv); ok {
 			if !b {
 				return
 			}
-			entryTrue = true
 		} else {
-			guardUnknown = true
+			condUnknown = true
 			if cv.BlockVarying() {
 				it.blockB = true
 			}
 		}
-	}
-	_ = entryTrue
-	constant := it.constTrip(st)
-	gd := len(it.guards)
-	if guardUnknown {
-		it.guards = append(it.guards, Guard{Unknown: true})
-	}
-	if !constant {
-		it.badLoop++
 	}
 	saved := it.copyState()
 	it.runLoopBody(func() {
@@ -652,18 +471,14 @@ func (it *Interp) execFor(st *ast.ForStmt) {
 			it.eval(st.Cond)
 		}
 	}, saved)
-	if !constant {
-		it.badLoop--
-	}
-	if guardUnknown {
+	if condUnknown {
 		it.joinStates(it.state, saved)
 	}
-	it.guards = it.guards[:gd]
 }
 
 func (it *Interp) execRange(st *ast.RangeStmt) {
 	x := it.eval(st.X)
-	elem := Value{Deps: x.Deps | DepLoop, Bases: x.Bases, AnyBase: x.AnyBase, Aff: AffNone}
+	elem := Value{Deps: x.Deps | DepLoop, Bases: x.Bases, AnyBase: x.AnyBase}
 	bindRange := func() {
 		if st.Key != nil {
 			it.assignTo(st.Key, Value{Deps: DepLoop | (x.Deps & DepUnknown)})
@@ -672,23 +487,18 @@ func (it *Interp) execRange(st *ast.RangeStmt) {
 			it.assignTo(st.Value, elem)
 		}
 	}
-	gd := len(it.guards)
-	it.guards = append(it.guards, Guard{Unknown: true})
-	it.badLoop++
 	saved := it.copyState()
 	it.runLoopBody(func() {
 		bindRange()
 		it.execStmt(st.Body)
 	}, saved)
-	it.badLoop--
 	it.joinStates(it.state, saved)
-	it.guards = it.guards[:gd]
 }
 
 // runLoopBody interprets a loop body twice: the first pass discovers
 // loop-carried values (widened with DepLoop), the second records
-// operations against the widened state, so cross-iteration phase and
-// address combinations appear in the trace.
+// operations against the widened state, so cross-iteration address
+// combinations appear in the trace.
 func (it *Interp) runLoopBody(body func(), entry map[types.Object]Value) {
 	body()
 	for obj, v := range it.state {
@@ -696,7 +506,6 @@ func (it *Interp) runLoopBody(body func(), entry map[types.Object]Value) {
 		if !had || !eq(old, v) {
 			w := join(old, v)
 			w.Deps |= DepLoop
-			w = dropAffIfMixed(w)
 			it.state[obj] = w
 		}
 	}
@@ -714,7 +523,6 @@ func (it *Interp) execSwitch(st *ast.SwitchStmt) {
 		}
 	}
 	saved := it.copyState()
-	gd := len(it.guards)
 	var states []map[types.Object]Value
 	for _, c := range st.Body.List {
 		cc, ok := c.(*ast.CaseClause)
@@ -725,82 +533,13 @@ func (it *Interp) execSwitch(st *ast.SwitchStmt) {
 		for k, v := range saved {
 			it.state[k] = v
 		}
-		it.guards = append(it.guards, Guard{Unknown: true})
 		it.execBlock(cc.Body)
-		it.guards = it.guards[:gd]
 		states = append(states, it.state)
 	}
 	it.state = saved
 	for _, s := range states {
 		it.joinStates(it.state, s)
 	}
-}
-
-// guardsFrom extracts executor-identity guards from a branch condition
-// (negated when describing the else arm).
-func (it *Interp) guardsFrom(cond ast.Expr, negated bool) []Guard {
-	cond = ast.Unparen(cond)
-	if un, ok := cond.(*ast.UnaryExpr); ok && un.Op == token.NOT {
-		return it.guardsFrom(un.X, !negated)
-	}
-	if be, ok := cond.(*ast.BinaryExpr); ok {
-		switch be.Op {
-		case token.LAND:
-			if !negated {
-				return append(it.guardsFrom(be.X, false), it.guardsFrom(be.Y, false)...)
-			}
-		case token.LOR:
-			if negated {
-				return append(it.guardsFrom(be.X, true), it.guardsFrom(be.Y, true)...)
-			}
-		case token.EQL, token.NEQ:
-			isEq := (be.Op == token.EQL) != negated
-			if isEq {
-				if g, ok := it.pinGuard(be.X, be.Y); ok {
-					return []Guard{g}
-				}
-				if g, ok := it.pinGuard(be.Y, be.X); ok {
-					return []Guard{g}
-				}
-			}
-		}
-	}
-	return []Guard{{Unknown: true}}
-}
-
-// pinGuard builds a pin from `pinned == key`: pinned must be a pure
-// warp- or block-derived value (or a fetch-add ticket draw), key must be
-// fixed across executors. The operand evaluations here re-run a branch
-// condition execIf has already evaluated, so any operations they record
-// are duplicates and are dropped from the trace.
-func (it *Interp) pinGuard(pinned, key ast.Expr) (Guard, bool) {
-	n := len(it.trace)
-	pv := it.eval(pinned)
-	ticket := false
-	for _, op := range it.trace[n:] {
-		// Only genuine fetch-add draws mint unique tickets: a CAS or
-		// exchange in the condition (a lock acquire) can succeed for many
-		// executors over time, and an AtomicAdd of zero is a plain read.
-		if op.Method == "AtomicAdd" && op.Write {
-			ticket = true
-		}
-	}
-	kv := it.eval(key)
-	it.trace = it.trace[:n]
-	if kv.Deps&(DepBlock|DepWarp|DepLoop|DepMem|DepUnknown|DepParam) != 0 {
-		return Guard{}, false
-	}
-	if ticket && pv.Deps&DepMem != 0 {
-		pos := it.pkg.Fset.Position(pinned.Pos())
-		return Guard{Pin: PinTicket, Key: pos.String()}, true
-	}
-	switch pv.Deps {
-	case DepBlock:
-		return Guard{Pin: PinBlock, Key: types.ExprString(key)}, true
-	case DepWarp:
-		return Guard{Pin: PinWarp, Key: types.ExprString(key)}, true
-	}
-	return Guard{}, false
 }
 
 func constBool(v Value) (bool, bool) {

@@ -1,74 +1,19 @@
 package dataflow
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
-// scopeOf interprets a value as a scope set; values the interpreter
-// could not pin to a constant may be either scope.
-func scopeOf(v Value) ScopeSet {
-	if v.Scopes != 0 {
-		return v.Scopes
-	}
-	return ScopeBlockBit | ScopeDeviceBit
-}
-
-// emit appends a recorded operation, snapshotting the interpreter's
-// control context (guards, held locks, barrier phase, divergence lane).
+// emit appends a recorded operation, tagged with the current c.Site
+// label.
 func (it *Interp) emit(op *Op) {
 	if !it.record {
 		return
 	}
-	op.Guards = append([]Guard(nil), it.guards...)
-	op.Locks = append([]*LockInfo(nil), it.locks...)
-	op.Phase = it.phase
-	op.Converged = it.converges
 	op.Site = it.curSite
-	op.ug = it.unknownGuards()
-	if it.curLane != nil {
-		l := *it.curLane
-		op.Lane = &l
-	}
-	op.Index = len(it.trace)
 	it.trace = append(it.trace, op)
 }
 
-// activatePending promotes a pending CAS-acquired lock to held. When a
-// fence arrives first its scope becomes the acquire fence; when a
-// memory operation arrives first the acquire fence is missing.
-func (it *Interp) activatePending(fence *Op) {
-	p := it.pending
-	if p == nil {
-		return
-	}
-	if fence != nil {
-		p.AcqFence = fence.Scope
-		if fence.ug > p.casUG {
-			// The fence is more conditional than the CAS: some
-			// executions enter the critical section without it.
-			p.AcqFenceMaybe = true
-		}
-	} else {
-		p.AcqFenceMissing = true
-	}
-	it.locks = append(it.locks, p)
-	it.pending = nil
-}
-
-// memOp builds, classifies and emits one data-memory operation.
-func (it *Interp) memOp(op *Op) {
-	if op.Kind == OpAtomic && it.pending != nil && op.IsCAS && types.ExprString(op.AddrExpr) == it.pending.Key {
-		// The re-examined CAS of the same lock in a spin loop's second
-		// pass: not a distinct critical-section access.
-	} else {
-		it.activatePending(nil)
-	}
-	it.emit(op)
-}
-
-// ctxOp interprets one *gpu.Ctx method call, recording the operation
-// facts the race predictor and lint checks consume.
+// ctxOp interprets one *gpu.Ctx method call, recording the memory and
+// fence operations the lint checks consume.
 func (it *Interp) ctxOp(name string, sel *ast.SelectorExpr, call *ast.CallExpr) Value {
 	// Evaluate the receiver first: chained calls like
 	// c.Site("x").Store(...) record their Site effect here.
@@ -81,12 +26,7 @@ func (it *Interp) ctxOp(name string, sel *ast.SelectorExpr, call *ast.CallExpr) 
 		return Value{}
 	}
 	newOp := func(kind OpKind, addrIdx int) *Op {
-		op := &Op{
-			Kind:   kind,
-			Method: name,
-			Call:   call,
-			Pkg:    it.pkg,
-		}
+		op := &Op{Kind: kind, Method: name, Call: call}
 		if addrIdx >= 0 && addrIdx < len(call.Args) {
 			op.AddrExpr = call.Args[addrIdx]
 			op.Addr = it.eval(call.Args[addrIdx])
@@ -100,30 +40,10 @@ func (it *Interp) ctxOp(name string, sel *ast.SelectorExpr, call *ast.CallExpr) 
 			it.curSite = s
 		}
 		return Value{}
-	case "AtLane":
-		v := arg(0)
-		if c, ok := v.IsConst(); ok {
-			it.curLane = &c
-		} else {
-			it.curLane = nil
-		}
-		return Value{}
-	case "Converge":
-		it.emit(&Op{Kind: OpConverge, Method: name, Call: call, Pkg: it.pkg})
-		it.curLane = nil
-		it.converges++
-		return Value{}
-	case "SyncThreads":
-		it.emit(&Op{Kind: OpBarrier, Method: name, Call: call, Pkg: it.pkg})
-		it.phase++
-		if it.badLoop > 0 {
-			// A barrier inside a loop with unknown trip count: phase
-			// numbers no longer totally order same-block accesses.
-			it.fuzzy = true
-		}
-		return Value{}
-	case "Work":
+	case "AtLane", "Work":
 		arg(0)
+		return Value{}
+	case "Converge", "SyncThreads":
 		return Value{}
 	case "GlobalWarp":
 		return Value{Deps: DepCross}
@@ -131,118 +51,48 @@ func (it *Interp) ctxOp(name string, sel *ast.SelectorExpr, call *ast.CallExpr) 
 		base := arg(0)
 		n := arg(1)
 		base.Deps |= n.Deps
-		base = dropAffIfMixed(base)
 		return base
 	case "Fence":
 		op := newOp(OpFence, -1)
-		op.Scope = scopeOf(arg(0))
+		arg(0)
 		it.emit(op)
-		it.activatePending(op)
-		it.lastFence = op
 		return Value{}
 
 	case "Load", "LoadV":
 		op := newOp(OpLoad, 0)
-		op.Read = true
 		op.Volatile = name == "LoadV"
-		it.memOp(op)
+		it.emit(op)
 		return Value{Deps: DepMem}
 	case "LoadVec":
 		op := newOp(OpLoad, 0)
-		op.Read = true
-		op.Vector = true
 		op.Volatile = !it.constFalse(argExpr(call, 1))
-		it.memOp(op)
+		it.emit(op)
 		return Value{Deps: DepMem}
 	case "Store", "StoreV":
 		op := newOp(OpStore, 0)
-		op.Write = true
 		op.Volatile = name == "StoreV"
 		arg(1)
-		it.memOp(op)
+		it.emit(op)
 		return Value{}
 	case "StoreVec":
 		op := newOp(OpStore, 0)
-		op.Write = true
-		op.Vector = true
 		arg(1)
 		op.Volatile = !it.constFalse(argExpr(call, 2))
-		it.memOp(op)
+		it.emit(op)
 		return Value{}
 
-	case "AtomicAdd":
+	case "AtomicAdd", "AtomicMax", "AtomicCAS", "AtomicExch",
+		"AtomicAddVec", "AtomicMaxVec", "AtomicReadVec", "Acquire", "Release":
+		// The address, then the value and scope operands in order.
 		op := newOp(OpAtomic, 0)
-		val := arg(1)
-		op.Scope = scopeOf(arg(2))
-		op.Read = true
-		if c, ok := val.IsConst(); !ok || c != 0 {
-			op.Write = true
+		for i := 1; i < len(call.Args); i++ {
+			arg(i)
 		}
-		it.memOp(op)
-		return Value{Deps: DepMem}
-	case "AtomicMax":
-		op := newOp(OpAtomic, 0)
-		arg(1)
-		op.Scope = scopeOf(arg(2))
-		op.Read = true
-		op.Write = true
-		it.memOp(op)
-		return Value{Deps: DepMem}
-	case "AtomicCAS":
-		op := newOp(OpAtomic, 0)
-		cmp := arg(1)
-		val := arg(2)
-		op.Scope = scopeOf(arg(3))
-		op.Read = true
-		op.Write = true
-		op.IsCAS = true
-		it.memOp(op)
-		it.maybeAcquireLock(op, cmp, val)
-		return Value{Deps: DepMem}
-	case "AtomicExch":
-		op := newOp(OpAtomic, 0)
-		val := arg(1)
-		op.Scope = scopeOf(arg(2))
-		op.Read = true
-		op.Write = true
-		op.IsExch = true
-		relFence := it.lastFence != nil && it.lastFence.Index == len(it.trace)-1 && len(it.trace) > 0
-		it.memOp(op)
-		if c, ok := val.IsConst(); ok && c == 0 {
-			it.releaseLock(op, relFence)
+		it.emit(op)
+		if name == "Release" {
+			return Value{}
 		}
 		return Value{Deps: DepMem}
-	case "AtomicAddVec", "AtomicMaxVec":
-		op := newOp(OpAtomic, 0)
-		arg(1)
-		op.Scope = scopeOf(arg(2))
-		op.Read = true
-		op.Write = true
-		op.Vector = true
-		it.memOp(op)
-		return Value{Deps: DepMem}
-	case "AtomicReadVec":
-		op := newOp(OpAtomic, 0)
-		op.Scope = scopeOf(arg(1))
-		op.Read = true
-		op.Vector = true
-		it.memOp(op)
-		return Value{Deps: DepMem}
-	case "Acquire":
-		op := newOp(OpAtomic, 0)
-		op.Scope = scopeOf(arg(1))
-		op.Read = true
-		op.AcquireOp = true
-		it.memOp(op)
-		return Value{Deps: DepMem}
-	case "Release":
-		op := newOp(OpAtomic, 0)
-		arg(1)
-		op.Scope = scopeOf(arg(2))
-		op.Write = true
-		op.ReleaseOp = true
-		it.memOp(op)
-		return Value{}
 	}
 
 	// Unmodeled Ctx method: evaluate arguments for their effects.
@@ -250,59 +100,6 @@ func (it *Interp) ctxOp(name string, sel *ast.SelectorExpr, call *ast.CallExpr) 
 		arg(i)
 	}
 	return Value{Deps: DepUnknown}
-}
-
-// maybeAcquireLock recognizes the CAS(l, 0, 1) lock-acquire idiom and
-// opens a pending lock: the next fence (or memory op) decides its
-// acquire-fence attributes.
-func (it *Interp) maybeAcquireLock(op *Op, cmp, val Value) {
-	c, ok := cmp.IsConst()
-	if !ok || c != 0 {
-		return
-	}
-	if v, ok := val.IsConst(); ok && v == 0 {
-		return
-	}
-	key := types.ExprString(op.AddrExpr)
-	for _, l := range it.locks {
-		if l.Key == key {
-			return // re-acquire of a held lock (loop second pass)
-		}
-	}
-	if it.pending != nil && it.pending.Key == key {
-		return
-	}
-	it.activatePending(nil)
-	it.pending = &LockInfo{
-		Addr:     op.Addr,
-		Key:      key,
-		CasScope: op.Scope,
-		Cond:     op.Conditional(),
-		casUG:    op.ug,
-	}
-}
-
-// releaseLock closes the innermost held lock matching the Exch(l, 0)
-// address, recording release-fence and release-exchange scopes. The
-// LockInfo pointer is shared with every operation recorded while the
-// lock was held, so those operations see the release attributes.
-func (it *Interp) releaseLock(op *Op, fencedJustBefore bool) {
-	key := types.ExprString(op.AddrExpr)
-	for i := len(it.locks) - 1; i >= 0; i-- {
-		l := it.locks[i]
-		if l.Key != key {
-			continue
-		}
-		l.Released = true
-		l.RelExch = op.Scope
-		if fencedJustBefore {
-			l.RelFence = it.lastFence.Scope
-		} else {
-			l.RelFenceMissing = true
-		}
-		it.locks = append(it.locks[:i], it.locks[i+1:]...)
-		return
-	}
 }
 
 // constFalse reports whether e is the constant false (mirrors

@@ -1,10 +1,8 @@
 // Package dataflow is a small flow-sensitive abstract interpretation
 // layer over kernel ASTs. It tracks, for every expression a kernel
-// computes, an address-provenance lattice (block-invariant /
-// warp-derived / cross-block / unknown), the set of device allocations
-// the value may point into, the synchronization scopes a scope-typed
-// value may take, and whether an address is an affine function of
-// c.Block (and therefore partitioned between blocks).
+// computes, the identity sources the value derives from (block, warp,
+// cross-block bases, parameters, loops, memory) and the set of device
+// allocations the value may point into.
 //
 // The interpreter propagates these facts through assignments, loops,
 // conditionals and gpu.Ctx.Seq-derived index arithmetic, with an
@@ -13,15 +11,11 @@
 // functions: a call to a function with a *gpu.Ctx parameter whose body
 // is available anywhere in the loaded World is interpreted inline.
 //
-// scopelint consumes the per-kernel fact stream to replace its
-// source-order taint heuristics; racepred consumes whole-benchmark
-// fact streams to enumerate candidate race pairs.
+// scopelint consumes the per-kernel op trace to replace its
+// source-order taint heuristics.
 package dataflow
 
-import (
-	"sort"
-	"strings"
-)
+import "sort"
 
 // Dep is a bitset of the identity sources a value derives from.
 type Dep uint16
@@ -51,103 +45,10 @@ const (
 	DepUnknown
 )
 
-// Prov is the four-point address-provenance lattice.
-type Prov uint8
-
-const (
-	// ProvBlockInvariant: the value is the same for every warp of every
-	// block.
-	ProvBlockInvariant Prov = iota
-	// ProvWarpDerived: the value varies with warp or block identity but
-	// is derived from block-local coordinates only.
-	ProvWarpDerived
-	// ProvCrossBlock: the value derives from cross-block bases
-	// (GlobalWarp(), c.Blocks).
-	ProvCrossBlock
-	// ProvUnknown: the value depends on memory or unanalyzable inputs.
-	ProvUnknown
-)
-
-// Prov collapses a dependency set onto the provenance lattice.
-func (d Dep) Prov() Prov {
-	switch {
-	case d&(DepUnknown|DepMem) != 0:
-		return ProvUnknown
-	case d&DepCross != 0:
-		return ProvCrossBlock
-	case d&(DepBlock|DepWarp|DepParam|DepLoop) != 0:
-		return ProvWarpDerived
-	default:
-		return ProvBlockInvariant
-	}
-}
-
-func (p Prov) String() string {
-	switch p {
-	case ProvBlockInvariant:
-		return "block-invariant"
-	case ProvWarpDerived:
-		return "warp-derived"
-	case ProvCrossBlock:
-		return "cross-block"
-	default:
-		return "unknown"
-	}
-}
-
-// Aff classifies an address as an affine function of block identity.
-type Aff uint8
-
-const (
-	// AffInvariant: the address contains no block term — it is the same
-	// on every block.
-	AffInvariant Aff = iota
-	// AffBlock: the address is invariant + c.Block·k with k ≠ 0 —
-	// different blocks address disjoint slots.
-	AffBlock
-	// AffNone: neither form holds (warp terms, loop terms, memory
-	// inputs, division of a block term, ...).
-	AffNone
-)
-
-// ScopeSet is the set of scope constants a scope-typed value may hold.
-type ScopeSet uint8
-
-const (
-	// ScopeBlockBit marks that the value may be gpu.ScopeBlock.
-	ScopeBlockBit ScopeSet = 1 << iota
-	// ScopeDeviceBit marks that the value may be gpu.ScopeDevice.
-	ScopeDeviceBit
-)
-
-// MayBlock reports whether the value may be block scope.
-func (s ScopeSet) MayBlock() bool { return s&ScopeBlockBit != 0 }
-
-// MayDevice reports whether the value may be device scope.
-func (s ScopeSet) MayDevice() bool { return s&ScopeDeviceBit != 0 }
-
-// OnlyBlock reports whether the value is definitely block scope.
-func (s ScopeSet) OnlyBlock() bool { return s == ScopeBlockBit }
-
-func (s ScopeSet) String() string {
-	switch s {
-	case ScopeBlockBit:
-		return "{Block}"
-	case ScopeDeviceBit:
-		return "{Device}"
-	case ScopeBlockBit | ScopeDeviceBit:
-		return "{Block,Device}"
-	default:
-		return "{}"
-	}
-}
-
 // Value is the abstract value of one expression.
 type Value struct {
 	Deps   Dep
-	Aff    Aff
 	Bases  []string // sorted allocation/parameter bases the value may point into
-	Scopes ScopeSet // possible scope constants, for scope-typed values
 	Const  *int64   // concrete integer, when statically known
 	Funcs  []*FuncVal
 	Fields map[string]Value // per-field values of a struct composite
@@ -178,22 +79,6 @@ func (v Value) BlockVarying() bool {
 // (scopelint's taint A).
 func (v Value) CrossDerived() bool { return v.Deps&DepCross != 0 }
 
-// MayAlias reports whether two address values can refer to overlapping
-// memory: their base sets intersect (or either is unresolved).
-func (a Value) MayAlias(b Value) bool {
-	if a.AnyBase || b.AnyBase {
-		return len(a.Bases) > 0 || len(b.Bases) > 0 || a.AnyBase && b.AnyBase
-	}
-	for _, x := range a.Bases {
-		for _, y := range b.Bases {
-			if x == y {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // CommonBases returns the sorted intersection of two base sets.
 func (a Value) CommonBases(b Value) []string {
 	var out []string
@@ -203,19 +88,6 @@ func (a Value) CommonBases(b Value) []string {
 				out = append(out, x)
 				break
 			}
-		}
-	}
-	return out
-}
-
-// AllocBases returns the bases that are device allocation names
-// (excluding the $-prefixed placeholder bases of unresolved
-// parameters).
-func AllocBases(bases []string) []string {
-	var out []string
-	for _, b := range bases {
-		if !strings.HasPrefix(b, "$") {
-			out = append(out, b)
 		}
 	}
 	return out
@@ -252,13 +124,7 @@ func join(a, b Value) Value {
 	out := Value{
 		Deps:    a.Deps | b.Deps,
 		Bases:   mergeBases(a.Bases, b.Bases),
-		Scopes:  a.Scopes | b.Scopes,
 		AnyBase: a.AnyBase || b.AnyBase,
-	}
-	if a.Aff == b.Aff {
-		out.Aff = a.Aff
-	} else {
-		out.Aff = AffNone
 	}
 	if a.Const != nil && b.Const != nil && *a.Const == *b.Const {
 		out.Const = a.Const
@@ -295,7 +161,7 @@ func join(a, b Value) Value {
 // eq reports whether two values are equal abstract states (used by the
 // loop fixpoint to detect stabilization).
 func eq(a, b Value) bool {
-	if a.Deps != b.Deps || a.Aff != b.Aff || a.Scopes != b.Scopes || a.AnyBase != b.AnyBase {
+	if a.Deps != b.Deps || a.AnyBase != b.AnyBase {
 		return false
 	}
 	if (a.Const == nil) != (b.Const == nil) || (a.Const != nil && *a.Const != *b.Const) {
@@ -321,14 +187,4 @@ func eq(a, b Value) bool {
 		}
 	}
 	return true
-}
-
-// dropAffIfMixed clears the block-affine classification of a value
-// whose dependency set contains non-block identity sources. Only pure
-// (invariant + block) combinations keep an Aff other than AffNone.
-func dropAffIfMixed(v Value) Value {
-	if v.Deps&(DepWarp|DepCross|DepLoop|DepMem|DepUnknown|DepParam) != 0 {
-		v.Aff = AffNone
-	}
-	return v
 }

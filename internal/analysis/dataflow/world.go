@@ -10,7 +10,6 @@ import (
 // FuncVal is an abstract function value: a function literal or declared
 // function body together with the environment it captured.
 type FuncVal struct {
-	Name string
 	Pkg  *framework.Package
 	Type *ast.FuncType
 	Body *ast.BlockStmt
@@ -28,9 +27,6 @@ type Env struct {
 func NewEnv(parent *Env) *Env {
 	return &Env{parent: parent, vars: map[types.Object]Value{}}
 }
-
-// Bind sets the value of obj in this frame.
-func (e *Env) Bind(obj types.Object, v Value) { e.vars[obj] = v }
 
 // Lookup finds obj in this frame or any ancestor.
 func (e *Env) Lookup(obj types.Object) (Value, bool) {

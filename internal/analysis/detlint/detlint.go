@@ -70,7 +70,7 @@ var deterministicCore = map[string]bool{
 	// the full set of invariants.
 	"scord/internal/tracefile": true,
 	"scord/internal/replay":    true,
-	// The predictive analysis is an oracle the three-way gate diffs
+	// The predictive analysis is an oracle the predict gate diffs
 	// byte-for-byte against the dynamic detector, so its prediction
 	// order, witnesses and rendering must be a pure function of the
 	// trace.

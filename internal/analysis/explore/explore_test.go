@@ -7,9 +7,7 @@ import (
 	"testing"
 
 	"scord/internal/analysis/explore"
-	"scord/internal/analysis/framework"
 	"scord/internal/analysis/predict"
-	"scord/internal/analysis/racepred"
 	"scord/internal/config"
 	"scord/internal/core"
 	"scord/internal/gpu"
@@ -316,62 +314,52 @@ func TestExploreSeeds(t *testing.T) {
 	}
 }
 
-// TestExploreWithinStaticPredictions is the racepred recall cross-check,
-// driven by the explorer: every race tuple an explored schedule of a
-// micro exposes must be covered by one of the static predictor's
-// predictions for that micro. A finding outside that set is either a
-// legality bug (the explorer replayed an interleaving the program cannot
-// produce) or a predictor recall gap — both worth failing loudly.
+// TestExploreWithinStaticPredictions is the containment check between
+// the explorer and the predictive analysis: every race tuple an explored
+// schedule of a micro, or of the masked example, exposes must be covered
+// by a prediction predict.Run made statically from the recorded trace,
+// without replaying any other schedule. A finding outside that set is
+// either a legality bug (the explorer replayed an interleaving the
+// program cannot produce) or a predictor recall gap — both worth failing
+// loudly.
 func TestExploreWithinStaticPredictions(t *testing.T) {
 	if raceEnabled {
 		t.Skip("single-threaded exploration sweep; -race coverage comes from the determinism tests")
 	}
-	if testing.Short() {
-		t.Skip("explores every micro and type-checks the benchmark packages")
-	}
-	pkgs, err := framework.Load("../../..", "./internal/scor", "./internal/scor/micro")
-	if err != nil {
-		t.Fatalf("loading benchmark packages: %v", err)
-	}
-	preds, err := racepred.Predict(pkgs)
-	if err != nil {
-		t.Fatalf("racepred: %v", err)
-	}
-	covered := func(bench, alloc string, kind core.RaceKind) bool {
-		for _, p := range preds {
-			if p.Bench == bench && p.Alloc == alloc && p.HasKind(kind) {
-				return true
+	findings := 0
+	check := func(t *testing.T, h tracefile.Header, ops []tracefile.Op) {
+		pres, err := predict.Run(h, ops, predict.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := explore.Explore(h, ops, explore.Options{Seeds: pres.Predictions})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range v.Races {
+			findings++
+			if f.Alloc == "" {
+				t.Errorf("schedule %d: %s race outside any allocation", f.Schedule, f.Kind)
+				continue
+			}
+			if !pres.Covers(f.Alloc, f.Kind) {
+				t.Errorf("schedule %d exposes %s race on %s/%s, which no prediction covers",
+					f.Schedule, f.Kind, h.Benchmark, f.Alloc)
 			}
 		}
-		return false
 	}
-
-	findings := 0
 	for _, m := range micro.All() {
 		t.Run(m.Name(), func(t *testing.T) {
 			h, ops := recordMicroOps(t, m.Name())
-			pres, err := predict.Run(h, ops, predict.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			v, err := explore.Explore(h, ops, explore.Options{Seeds: pres.Predictions})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range v.Races {
-				findings++
-				if f.Alloc == "" {
-					t.Errorf("schedule %d: %s race outside any allocation", f.Schedule, f.Kind)
-					continue
-				}
-				if !covered(m.Name(), f.Alloc, f.Kind) {
-					t.Errorf("schedule %d exposes %s race on %s/%s, which no static prediction covers",
-						f.Schedule, f.Kind, m.Name(), f.Alloc)
-				}
-			}
+			check(t, h, ops)
 		})
 	}
+	t.Run("explore.masked", func(t *testing.T) {
+		h, ops := explore.MaskedRaceExample()
+		check(t, h, ops)
+	})
 	if findings == 0 {
-		t.Fatal("no micro produced a finding; the cross-check exercises nothing")
+		t.Fatal("no configuration produced a finding; the cross-check exercises nothing")
 	}
+	t.Logf("%d explorer findings, each covered by a prediction", findings)
 }

@@ -13,7 +13,7 @@ type Confirmation int
 const (
 	// Unconfirmed: neither the recorded schedule nor the targeted
 	// perturbation made the dynamic detector report the tuple. The
-	// prediction needs a Justified entry to pass the three-way gate.
+	// prediction needs a Justified entry to pass the predict gate.
 	Unconfirmed Confirmation = iota
 	// ConfirmedObserved: the detector already reported the (alloc, kind)
 	// tuple on the recorded schedule.

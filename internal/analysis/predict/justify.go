@@ -3,9 +3,9 @@ package predict
 // Justified lists every predicted race tuple the dynamic detector
 // confirms on neither the recorded schedule nor a PerturbTarget witness
 // schedule, keyed "BENCH/alloc/kind", with the reviewed reason. The
-// three-way gate fails both ways: an unconfirmed prediction missing from
-// this table, and a table entry that no longer matches a live
-// unconfirmed prediction.
+// predict gate (harness.RunPredictSuite) fails both ways: an unconfirmed
+// prediction missing from this table, and a table entry that no longer
+// matches a live unconfirmed prediction.
 //
 // Two residue classes exist today:
 //

@@ -37,9 +37,9 @@
 // or mirrors the synchronization the program actually performed
 // (lock/fence edges), so an unordered conflicting pair can be brought
 // together by a legality-preserving reordering — replay.PerturbTarget
-// searches for exactly such a schedule and the three-way gate in
-// racepred/diffval demands one (or a reviewed justification) for every
-// prediction the dynamic detector did not already confirm.
+// searches for exactly such a schedule and the predict gate
+// (harness.RunPredictSuite) demands one (or a reviewed justification)
+// for every prediction the dynamic detector did not already confirm.
 package predict
 
 import (
@@ -193,8 +193,8 @@ type analysis struct {
 	phases       []uint64 // block -> barrier phase
 	phaseTouched []int    // blocks whose phase advanced since the last reset
 
-	// Lock tables, made per block on first use and reset like the word
-	// index: a fence on block 65,535 costs one block's tables.
+	// Lock tables, made per block on the first CAS and reset like the
+	// word index: a fence on a block without tables costs nothing.
 	locks       []*warpLocks // block -> tables; nil: untouched this kernel
 	lockTouched []int        // blocks whose tables were made since the last reset
 	lockFree    []*warpLocks // cleared tables released by a reset, reused first
@@ -287,9 +287,21 @@ func validIDs(block, warp int) bool {
 	return block >= 0 && block < maxBlockID && warp >= 0 && warp < maxWarpID
 }
 
-// lockTable returns a warp's lock table, making its block's tables on
-// the kernel's first use of the block.
+// lockTable returns a warp's lock table, or nil while its block has none
+// this kernel: an empty table, on which fences, Exch and releases have no
+// effect and whose summary is empty.
 func (a *analysis) lockTable(block, warp int) *core.LockTable {
+	if uint(block) < uint(len(a.locks)) {
+		if wl := a.locks[block]; wl != nil {
+			return &wl[warp&63]
+		}
+	}
+	return nil
+}
+
+// casTable returns a warp's lock table for a CAS, making its block's
+// tables on the kernel's first CAS by any of its warps.
+func (a *analysis) casTable(block, warp int) *core.LockTable {
 	if block >= len(a.locks) {
 		grown := make([]*warpLocks, block+1, max(block+1, 2*len(a.locks)))
 		copy(grown, a.locks)
@@ -408,7 +420,9 @@ func (a *analysis) apply(i int, op *tracefile.Op) error {
 			return fmt.Errorf("predict: fence op %d has out-of-range block %d / warp %d", i, op.Block, op.Warp)
 		}
 		a.ff.OnFence(op.Block, op.Warp, op.Scope)
-		a.lockTable(op.Block, op.Warp).OnFence(op.Scope)
+		if lt := a.lockTable(op.Block, op.Warp); lt != nil {
+			lt.OnFence(op.Scope)
+		}
 	case tracefile.OpBarrier:
 		a.barrier(op.Block)
 	case tracefile.OpKernel:
@@ -453,11 +467,16 @@ func (a *analysis) onAccess(i int, op *tracefile.Op) {
 		// Mirror Detector.OnRelease: fence at the release's scope, then a
 		// releasing Exch on the sync object.
 		a.ff.OnFence(acc.Block, acc.Warp, acc.Scope)
-		lt.OnFence(acc.Scope)
-		lt.OnExch(acc.Addr, acc.Scope)
+		if lt != nil {
+			lt.OnFence(acc.Scope)
+			lt.OnExch(acc.Addr, acc.Scope)
+		}
 	}
 
-	cur := lt.Summary()
+	var cur core.Bloom
+	if lt != nil {
+		cur = lt.Summary()
+	}
 	ws := a.state(acc.Addr/mem.WordBytes, t)
 
 	own := a.checkPairs(i, op, t, cur, ws)
@@ -465,15 +484,19 @@ func (a *analysis) onAccess(i int, op *tracefile.Op) {
 
 	switch op.AtomicOp {
 	case core.AtomicCAS:
-		lt.OnCAS(acc.Addr, acc.Scope)
+		a.casTable(acc.Block, acc.Warp).OnCAS(acc.Addr, acc.Scope)
 	case core.AtomicExch:
-		lt.OnExch(acc.Addr, acc.Scope)
+		if lt != nil {
+			lt.OnExch(acc.Addr, acc.Scope)
+		}
 	case core.AtomicAcquire:
 		if a.acqrel {
 			// Mirror Detector.OnAcquire: consume the matching release's
 			// ordering — a fence at the acquire's scope.
 			a.ff.OnFence(acc.Block, acc.Warp, acc.Scope)
-			lt.OnFence(acc.Scope)
+			if lt != nil {
+				lt.OnFence(acc.Scope)
+			}
 		}
 	}
 }
@@ -670,8 +693,8 @@ func (a *analysis) finish() *Result {
 	return res
 }
 
-// Tuple is a predicted race at the granularity the differential gates
-// compare: which allocation, which Table IV kind.
+// Tuple is a race at the granularity the gates compare: which
+// allocation, which Table IV kind.
 type Tuple struct {
 	Alloc string
 	Kind  core.RaceKind
@@ -697,6 +720,21 @@ func (r *Result) Tuples() []Tuple {
 		return out[i].Kind < out[j].Kind
 	})
 	return out
+}
+
+// TuplesOf collects the (allocation, kind) tuples of race records,
+// resolving each address in m. A race outside every allocation counts
+// under the empty allocation name, as a Prediction's Alloc does.
+func TuplesOf(races []core.Record, m *mem.Memory) map[Tuple]bool {
+	set := make(map[Tuple]bool)
+	for _, r := range races {
+		var alloc string
+		if al, ok := m.Locate(mem.Addr(r.Addr)); ok {
+			alloc = al.Name
+		}
+		set[Tuple{Alloc: alloc, Kind: r.Kind}] = true
+	}
+	return set
 }
 
 // Covers reports whether some prediction matches the given allocation and

@@ -224,9 +224,10 @@ func TestRejectsHostileOps(t *testing.T) {
 	}
 }
 
-// TestFenceOnHighBlockAllocs: lock tables are made per block on first
-// use, so a two-op trace, a launch and then a fence on block 65,535,
-// allocates under 1 MB. One dense table up to the block took 134 MB.
+// TestFenceOnHighBlockAllocs: lock tables are made per block on the
+// first CAS, so a two-op trace, a launch and then a fence on block
+// 65,535, makes none and allocates under 128 KB. Making them on the
+// fence took 540 KB; one dense table up to the block took 134 MB.
 func TestFenceOnHighBlockAllocs(t *testing.T) {
 	h := tracefile.NewHeader("high-block", nil, config.Default())
 	ops := []tracefile.Op{
@@ -246,8 +247,8 @@ func TestFenceOnHighBlockAllocs(t *testing.T) {
 	}
 	alloc := after.TotalAlloc - before.TotalAlloc
 	t.Logf("%d bytes allocated", alloc)
-	if alloc >= 1<<20 {
-		t.Errorf("predict.Run allocated %d bytes for a fence on block 65,535, want under 1 MB", alloc)
+	if alloc >= 128<<10 {
+		t.Errorf("predict.Run allocated %d bytes for a fence on block 65,535, want under 128 KB", alloc)
 	}
 }
 

@@ -21,6 +21,7 @@ func ReferenceRun(h tracefile.Header, ops []tracefile.Op, opt Options) (*Result,
 	}
 	r := &refAnalysis{
 		analysis: a,
+		locks:    make(map[[2]int]*core.LockTable),
 		phases:   make(map[int]uint64),
 		words:    make(map[uint64]*refWordState),
 	}
@@ -71,18 +72,32 @@ func (ws *refWordState) slot(t thread) *refFrameSlot {
 	return &ws.frames[len(ws.frames)-1]
 }
 
-// refAnalysis borrows the fence file, lock tables, allocation map and
-// prediction set of an analysis and replaces its dense word and phase
-// state with maps.
+// refAnalysis borrows the fence file, allocation map and prediction set
+// of an analysis and replaces its dense lock, word and phase state with
+// maps. Its lock tables are made on any use, where the analysis makes
+// them only on a CAS.
 type refAnalysis struct {
 	*analysis
+	locks  map[[2]int]*core.LockTable
 	phases map[int]uint64
 	words  map[uint64]*refWordState
 }
 
+// lockTable returns a warp's lock table, keyed by the warp ID's low six
+// bits as the analysis keys it, making it on first use.
+func (a *refAnalysis) lockTable(block, warp int) *core.LockTable {
+	k := [2]int{block, warp & 63}
+	lt := a.locks[k]
+	if lt == nil {
+		lt = &core.LockTable{}
+		a.locks[k] = lt
+	}
+	return lt
+}
+
 func (a *refAnalysis) resetForKernel() {
 	a.ff.Reset()
-	clear(a.locks)
+	a.locks = make(map[[2]int]*core.LockTable)
 	a.phases = make(map[int]uint64)
 	a.words = make(map[uint64]*refWordState)
 }

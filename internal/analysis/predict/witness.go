@@ -65,14 +65,26 @@ func newWitnessReplay(acqrel bool) *witnessReplay {
 	}
 }
 
+// lockTable returns a warp's lock table, or nil while the warp has made
+// no CAS this kernel: an empty table, which fences, Exch and releases
+// leave empty.
 func (r *witnessReplay) lockTable(block, warp int) *core.LockTable {
-	k := [2]int{block, warp}
-	lt := r.locks[k]
-	if lt == nil {
-		lt = &core.LockTable{}
-		r.locks[k] = lt
+	return r.locks[[2]int{block, warp}]
+}
+
+// onFence applies a fence to the warp's lock table, if it has one.
+func (r *witnessReplay) onFence(block, warp int, scope core.Scope) {
+	if lt := r.lockTable(block, warp); lt != nil {
+		lt.OnFence(scope)
 	}
-	return lt
+}
+
+// summary is the warp's lock bloom: empty while it has no table.
+func (r *witnessReplay) summary(block, warp int) core.Bloom {
+	if lt := r.lockTable(block, warp); lt != nil {
+		return lt.Summary()
+	}
+	return 0
 }
 
 func (r *witnessReplay) reset() {
@@ -87,9 +99,10 @@ func (r *witnessReplay) preAccess(op *tracefile.Op) {
 	acc := op.Access
 	if op.AtomicOp == core.AtomicRelease && r.acqrel {
 		r.ff.OnFence(acc.Block, acc.Warp, acc.Scope)
-		lt := r.lockTable(acc.Block, acc.Warp)
-		lt.OnFence(acc.Scope)
-		lt.OnExch(acc.Addr, acc.Scope)
+		if lt := r.lockTable(acc.Block, acc.Warp); lt != nil {
+			lt.OnFence(acc.Scope)
+			lt.OnExch(acc.Addr, acc.Scope)
+		}
 	}
 }
 
@@ -97,13 +110,21 @@ func (r *witnessReplay) postAccess(op *tracefile.Op) {
 	acc := op.Access
 	switch op.AtomicOp {
 	case core.AtomicCAS:
-		r.lockTable(acc.Block, acc.Warp).OnCAS(acc.Addr, acc.Scope)
+		k := [2]int{acc.Block, acc.Warp}
+		lt := r.locks[k]
+		if lt == nil {
+			lt = &core.LockTable{}
+			r.locks[k] = lt
+		}
+		lt.OnCAS(acc.Addr, acc.Scope)
 	case core.AtomicExch:
-		r.lockTable(acc.Block, acc.Warp).OnExch(acc.Addr, acc.Scope)
+		if lt := r.lockTable(acc.Block, acc.Warp); lt != nil {
+			lt.OnExch(acc.Addr, acc.Scope)
+		}
 	case core.AtomicAcquire:
 		if r.acqrel {
 			r.ff.OnFence(acc.Block, acc.Warp, acc.Scope)
-			r.lockTable(acc.Block, acc.Warp).OnFence(acc.Scope)
+			r.onFence(acc.Block, acc.Warp, acc.Scope)
 		}
 	}
 }
@@ -161,18 +182,18 @@ func CheckWitness(h tracefile.Header, ops []tracefile.Op, w Witness) error {
 			r.phases[op.Block]++
 		case tracefile.OpFence:
 			r.ff.OnFence(op.Block, op.Warp, op.Scope)
-			r.lockTable(op.Block, op.Warp).OnFence(op.Scope)
+			r.onFence(op.Block, op.Warp, op.Scope)
 		case tracefile.OpAccess:
 			acc := op.Access
 			r.preAccess(op)
 			if i == w.Prev {
 				prevPhaseAt = r.phases[pa.Block]
 				blkAt, devAt = r.ff.Get(pa.Block, pa.Warp)
-				prevBloom = r.lockTable(acc.Block, acc.Warp).Summary()
+				prevBloom = r.summary(acc.Block, acc.Warp)
 			}
 			if i == w.Cur {
 				curPhase = r.phases[ca.Block]
-				curBloom = r.lockTable(acc.Block, acc.Warp).Summary()
+				curBloom = r.summary(acc.Block, acc.Warp)
 			}
 			r.postAccess(op)
 		}

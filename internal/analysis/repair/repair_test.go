@@ -16,7 +16,7 @@ import (
 )
 
 // record executes one benchmark with the trace recorder attached and
-// returns the recorded schedule (the diffval pattern).
+// returns the recorded schedule.
 func record(t *testing.T, b scor.Benchmark, active []string) (tracefile.Header, []tracefile.Op) {
 	t.Helper()
 	cfg := config.Default().WithDetector(config.ModeFull4B)

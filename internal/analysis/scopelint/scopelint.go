@@ -20,9 +20,9 @@
 // and aliasing is decided by allocation bases instead of syntactic
 // address equality. Scope operands are still matched syntactically (the
 // literal ScopeBlock constant): injection harnesses select scopes
-// through variables at run time on purpose, and those sites belong to
-// racepred, not lint. The acqrel and diverge checks remain source-order
-// heuristics. A finding that is intentional (an injected race, a
+// through variables at run time on purpose, and the dynamic detector
+// judges those sites, not lint. The acqrel and diverge checks remain
+// source-order heuristics. A finding that is intentional (an injected race, a
 // single-block launch) is silenced with a
 // //scord:allow(scopelint/<check>) comment carrying a justification.
 package scopelint

@@ -8,10 +8,7 @@ import (
 
 	"scord/internal/analysis/explore"
 	"scord/internal/analysis/predict"
-	"scord/internal/mem"
 	"scord/internal/replay"
-	"scord/internal/scor"
-	"scord/internal/scor/micro"
 	"scord/internal/tracefile"
 )
 
@@ -19,12 +16,15 @@ import (
 // the whole suite on the harness worker pool: every app injection, every
 // base micro, and the synthetic masked-race example. Each row records
 // the configuration, explores the trace with the predictor's predictions
-// as seeds, and gates the result three ways:
+// as seeds, and gates the result four ways:
 //
 //   - every race the dynamic detector observed on the recorded schedule
 //     must be found (schedule 0 replays the recorded equivalence class);
 //   - every prediction the greedy PerturbTarget walk confirms must be
 //     found (the seed phase guarantees explorer ⊇ greedy walk);
+//   - every finding must be predicted from the recorded trace (the
+//     explorer reaches only legal reorderings, and predict is sound over
+//     them);
 //   - every finding's witness must pass predict.CheckWitness.
 //
 // Races the explorer reaches beyond both oracles are counted as
@@ -54,8 +54,11 @@ type ExploreRow struct {
 	BeyondGreedy int `json:"beyond_greedy"`
 
 	// Gate failures (empty/zero on a healthy run).
-	MissedDynamic   []string `json:"missed_dynamic,omitempty"`
-	MissedGreedy    []string `json:"missed_greedy,omitempty"`
+	MissedDynamic []string `json:"missed_dynamic,omitempty"`
+	MissedGreedy  []string `json:"missed_greedy,omitempty"`
+	// MissedPredicted lists explorer races that predict.Run did not
+	// predict from the recorded trace.
+	MissedPredicted []string `json:"missed_predicted,omitempty"`
 	WitnessFailures int      `json:"witness_failures,omitempty"`
 }
 
@@ -77,6 +80,9 @@ func (t *ExploreTable) GateErrors() []string {
 		}
 		for _, m := range r.MissedGreedy {
 			errs = append(errs, fmt.Sprintf("%s: greedy-confirmed prediction %s not found by the explorer", label, m))
+		}
+		for _, m := range r.MissedPredicted {
+			errs = append(errs, fmt.Sprintf("%s: explorer race %s not predicted from the recorded trace", label, m))
 		}
 		if r.WitnessFailures > 0 {
 			errs = append(errs, fmt.Sprintf("%s: %d findings with unverified witnesses", label, r.WitnessFailures))
@@ -129,7 +135,7 @@ func (t *ExploreTable) Render() string {
 }
 
 // exploreTrace explores one decoded trace and gates it against the
-// dynamic detector and the greedy confirmation walk.
+// dynamic detector, the greedy confirmation walk and the predictions.
 func exploreTrace(h tracefile.Header, ops []tracefile.Op, maxSchedules int) (ExploreRow, error) {
 	row := ExploreRow{Bench: h.Benchmark, Ops: len(ops)}
 
@@ -143,14 +149,7 @@ func exploreTrace(h tracefile.Header, ops []tracefile.Op, maxSchedules int) (Exp
 	if err != nil {
 		return row, err
 	}
-	observed := map[predict.Tuple]bool{}
-	for _, rec := range res.Races {
-		var alloc string
-		if al, ok := res.Mem.Locate(mem.Addr(rec.Addr)); ok {
-			alloc = al.Name
-		}
-		observed[predict.Tuple{Alloc: alloc, Kind: rec.Kind}] = true
-	}
+	observed := predict.TuplesOf(res.Races, res.Mem)
 	pres, err := predict.Run(h, ops, predict.Options{})
 	if err != nil {
 		return row, err
@@ -190,6 +189,9 @@ func exploreTrace(h tracefile.Header, ops []tracefile.Op, maxSchedules int) (Exp
 		if !observed[t] && !greedy[t] {
 			row.BeyondGreedy++
 		}
+		if !pres.Covers(t.Alloc, t.Kind) {
+			row.MissedPredicted = append(row.MissedPredicted, t.String())
+		}
 	}
 	for _, t := range sortedTuples(observed) {
 		if !covered[t] {
@@ -221,41 +223,33 @@ func tupleLess(a, b predict.Tuple) bool {
 	return a.Kind < b.Kind
 }
 
-// exploreApp explores one app injection's recorded trace.
-func exploreApp(appIdx int, inj string, maxSchedules int) (ExploreRow, error) {
-	b := scor.Apps()[appIdx]
-	h, ops, err := recordRepairTrace(b, []string{inj})
-	if err != nil {
+// exploreConfig records one configuration (the masked example is built
+// as a trace) and explores it.
+func exploreConfig(c suiteConfig, maxSchedules int) (ExploreRow, error) {
+	var (
+		h   tracefile.Header
+		ops []tracefile.Op
+		err error
+	)
+	if c.kind == maskedEx {
+		h, ops = explore.MaskedRaceExample()
+	} else if h, ops, _, err = c.record(); err != nil {
 		return ExploreRow{}, err
 	}
 	row, err := exploreTrace(h, ops, maxSchedules)
 	if err != nil {
 		return ExploreRow{}, err
 	}
-	row.Injection = inj
-	row.ExpectRacey = true
+	row.Injection = c.inj
+	row.ExpectRacey = c.racey
 	return row, nil
 }
 
-// exploreMicro explores one base-suite micro's recorded trace.
-func exploreMicro(mi, maxSchedules int) (ExploreRow, error) {
-	m := micro.All()[mi]
-	h, ops, err := recordRepairTrace(m, nil)
-	if err != nil {
-		return ExploreRow{}, err
-	}
-	row, err := exploreTrace(h, ops, maxSchedules)
-	if err != nil {
-		return ExploreRow{}, err
-	}
-	row.ExpectRacey = m.Racey()
-	return row, nil
-}
-
-// exploreMasked explores the synthetic masked-race example.
-func exploreMasked(maxSchedules int) (ExploreRow, error) {
-	h, ops := explore.MaskedRaceExample()
-	return exploreTrace(h, ops, maxSchedules)
+// exploreRows explores the given configurations on the worker pool.
+func exploreRows(opt Options, configs []suiteConfig, maxSchedules int) ([]ExploreRow, error) {
+	return runConfigs(opt, "explore", configs, func(c suiteConfig) (ExploreRow, error) {
+		return exploreConfig(c, maxSchedules)
+	})
 }
 
 // RunExploreSuite explores every app injection, every base micro, and
@@ -267,62 +261,8 @@ func RunExploreSuite(opt Options, maxSchedules int) (*ExploreTable, error) {
 	if maxSchedules <= 0 {
 		maxSchedules = 64
 	}
-	type jobSpec struct {
-		app    int // -1 for micro jobs, -2 for the masked example
-		inj    string
-		mi     int
-		masked bool
-	}
-	var specs []jobSpec
-	apps := scor.Apps()
-	for ai, b := range apps {
-		for _, inj := range b.Injections() {
-			specs = append(specs, jobSpec{app: ai, inj: inj, mi: -1})
-		}
-	}
-	for mi := range micro.All() {
-		specs = append(specs, jobSpec{app: -1, mi: mi})
-	}
-	specs = append(specs, jobSpec{app: -2, masked: true})
-
-	rows := make([]ExploreRow, len(specs))
-	var sims []Sim
-	for si := range specs {
-		si := si
-		spec := specs[si]
-		var label string
-		switch {
-		case spec.app >= 0:
-			label = fmt.Sprintf("explore/%s/%s", apps[spec.app].Name(), spec.inj)
-		case spec.masked:
-			label = "explore/explore.masked"
-		default:
-			label = "explore/" + micro.All()[spec.mi].Name()
-		}
-		sims = append(sims, Sim{
-			Label: label,
-			Run: func() error {
-				var (
-					row ExploreRow
-					err error
-				)
-				switch {
-				case spec.app >= 0:
-					row, err = exploreApp(spec.app, spec.inj, maxSchedules)
-				case spec.masked:
-					row, err = exploreMasked(maxSchedules)
-				default:
-					row, err = exploreMicro(spec.mi, maxSchedules)
-				}
-				if err != nil {
-					return err
-				}
-				rows[si] = row
-				return nil
-			},
-		})
-	}
-	if err := runAll(opt, sims); err != nil {
+	rows, err := exploreRows(opt, append(injectedAndMicros(), maskedConfig()), maxSchedules)
+	if err != nil {
 		return nil, err
 	}
 	return &ExploreTable{Rows: rows}, nil

@@ -4,48 +4,15 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
-
-	"scord/internal/scor/micro"
 )
 
 // exploreRowsForSubset explores a fixed micro subset plus the masked
-// example on the worker pool at the given Jobs value, exactly as
-// RunExploreSuite schedules its jobs.
+// example on the worker pool at the given Jobs value.
 func exploreRowsForSubset(t *testing.T, names []string, jobs int) []ExploreRow {
 	t.Helper()
-	byName := map[string]int{}
-	for mi, m := range micro.All() {
-		byName[m.Name()] = mi
-	}
-	rows := make([]ExploreRow, len(names)+1)
-	var sims []Sim
-	for si, name := range names {
-		si, mi := si, byName[name]
-		sims = append(sims, Sim{
-			Label: "explore/" + name,
-			Run: func() error {
-				row, err := exploreMicro(mi, 64)
-				if err != nil {
-					return err
-				}
-				rows[si] = row
-				return nil
-			},
-		})
-	}
-	sims = append(sims, Sim{
-		Label: "explore/explore.masked",
-		Run: func() error {
-			row, err := exploreMasked(64)
-			if err != nil {
-				return err
-			}
-			rows[len(names)] = row
-			return nil
-		},
-	})
-	if err := runAll(Options{Jobs: jobs}, sims); err != nil {
-		t.Fatalf("runAll: %v", err)
+	rows, err := exploreRows(Options{Jobs: jobs}, append(configsNamed(t, names...), maskedConfig()), 64)
+	if err != nil {
+		t.Fatalf("exploreRows: %v", err)
 	}
 	return rows
 }

@@ -1,27 +1,21 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"strings"
 
 	"scord/internal/analysis/fix"
 	"scord/internal/analysis/repair"
-	"scord/internal/config"
-	"scord/internal/gpu"
-	"scord/internal/replay"
-	"scord/internal/scor"
-	"scord/internal/scor/micro"
-	"scord/internal/tracefile"
 )
 
 // This file runs the repair synthesizer (internal/analysis/repair) over
 // the whole injected-bug suite on the harness worker pool: every app
 // injection (26 single-injection configurations) and every base micro
-// (32) is recorded, repaired, and reported. Each job builds its own
-// device and benchmark instances and writes into an order-indexed slot,
-// so the table is byte-identical at any Jobs value.
+// (32) of the suite corpus (suite.go) is recorded, repaired, and
+// reported. Each job builds its own device and benchmark instances and
+// writes into an order-indexed slot, so the table is byte-identical at
+// any Jobs value.
 
 // AppliedFix is one accepted repair with its verification evidence.
 type AppliedFix struct {
@@ -182,37 +176,6 @@ func (t *RepairTable) Render() string {
 	return b.String()
 }
 
-// recordRepairTrace runs one benchmark configuration live (ModeFull4B,
-// recorder attached) and returns the decoded trace.
-func recordRepairTrace(b scor.Benchmark, active []string) (tracefile.Header, []tracefile.Op, error) {
-	cfg := config.Default().WithDetector(config.ModeFull4B)
-	d, err := gpu.New(cfg)
-	if err != nil {
-		return tracefile.Header{}, nil, err
-	}
-	var buf bytes.Buffer
-	tw, err := tracefile.NewWriter(&buf, tracefile.NewHeader(b.Name(), active, cfg))
-	if err != nil {
-		return tracefile.Header{}, nil, err
-	}
-	d.SetOpSink(tw)
-	if err := b.Run(d, active); err != nil {
-		return tracefile.Header{}, nil, fmt.Errorf("%s (injections %v): %w", b.Name(), active, err)
-	}
-	if err := tw.Close(); err != nil {
-		return tracefile.Header{}, nil, err
-	}
-	tr, err := tracefile.NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return tracefile.Header{}, nil, err
-	}
-	ops, err := replay.ReadAll(tr)
-	if err != nil {
-		return tracefile.Header{}, nil, err
-	}
-	return tr.Header(), ops, nil
-}
-
 func repairRowFromReport(rep *repair.Report) RepairRow {
 	row := RepairRow{Bench: rep.Bench, FullyRepaired: rep.FullyRepaired,
 		OpsTouched: rep.OpsTouched, OpsInserted: rep.OpsInserted}
@@ -231,106 +194,44 @@ func repairRowFromReport(rep *repair.Report) RepairRow {
 	return row
 }
 
-// repairApp repairs one app injection, with the uninjected base trace as
-// the sibling regression oracle.
-func repairApp(appIdx int, inj string) (RepairRow, error) {
-	b := scor.Apps()[appIdx]
-	h, ops, err := recordRepairTrace(b, []string{inj})
+// repairConfig records and repairs one configuration. An app
+// injection gets its app's uninjected run as the sibling regression
+// oracle.
+func repairConfig(c suiteConfig) (RepairRow, error) {
+	h, ops, _, err := c.record()
 	if err != nil {
 		return RepairRow{}, err
 	}
-	base := scor.Apps()[appIdx]
-	bh, bops, err := recordRepairTrace(base, nil)
-	if err != nil {
-		return RepairRow{}, err
-	}
-	r := &repair.Repairer{
-		Bench:    b.Name(),
-		Header:   h,
-		Ops:      ops,
-		Siblings: []repair.Sibling{{Label: "base", Header: bh, Ops: bops}},
+	r := &repair.Repairer{Bench: c.bench, Header: h, Ops: ops}
+	if c.kind == appInjected {
+		base := suiteConfig{kind: appClean, bench: c.bench, build: c.build}
+		bh, bops, _, err := base.record()
+		if err != nil {
+			return RepairRow{}, err
+		}
+		r.Siblings = []repair.Sibling{{Label: "base", Header: bh, Ops: bops}}
 	}
 	rep, err := r.RepairAll()
 	if err != nil {
 		return RepairRow{}, err
 	}
 	row := repairRowFromReport(rep)
-	row.Injection = inj
-	row.ExpectRacey = true
+	row.Injection = c.inj
+	row.ExpectRacey = c.racey
+	row.Class = c.class
 	return row, nil
 }
 
-// repairMicro repairs one base-suite micro.
-func repairMicro(mi int) (RepairRow, error) {
-	m := micro.All()[mi]
-	h, ops, err := recordRepairTrace(m, nil)
-	if err != nil {
-		return RepairRow{}, err
-	}
-	r := &repair.Repairer{Bench: m.Name(), Header: h, Ops: ops}
-	rep, err := r.RepairAll()
-	if err != nil {
-		return RepairRow{}, err
-	}
-	row := repairRowFromReport(rep)
-	row.ExpectRacey = m.Racey()
-	if m.Racey() {
-		row.Class = m.Class()
-	}
-	return row, nil
+// repairRows repairs the given configurations on the worker pool.
+func repairRows(opt Options, configs []suiteConfig) ([]RepairRow, error) {
+	return runConfigs(opt, "repair", configs, repairConfig)
 }
 
 // RunRepairSuite records and repairs every injected-bug configuration
 // (each app's single injections) plus every base micro.
 func RunRepairSuite(opt Options) (*RepairTable, error) {
-	type jobSpec struct {
-		app int // -1 for micro jobs
-		inj string
-		mi  int
-	}
-	var specs []jobSpec
-	apps := scor.Apps()
-	for ai, b := range apps {
-		for _, inj := range b.Injections() {
-			specs = append(specs, jobSpec{app: ai, inj: inj, mi: -1})
-		}
-	}
-	for mi := range micro.All() {
-		specs = append(specs, jobSpec{app: -1, mi: mi})
-	}
-
-	rows := make([]RepairRow, len(specs))
-	var sims []Sim
-	for si := range specs {
-		si := si
-		spec := specs[si]
-		var label string
-		if spec.app >= 0 {
-			label = fmt.Sprintf("repair/%s/%s", apps[spec.app].Name(), spec.inj)
-		} else {
-			label = "repair/" + micro.All()[spec.mi].Name()
-		}
-		sims = append(sims, Sim{
-			Label: label,
-			Run: func() error {
-				var (
-					row RepairRow
-					err error
-				)
-				if spec.app >= 0 {
-					row, err = repairApp(spec.app, spec.inj)
-				} else {
-					row, err = repairMicro(spec.mi)
-				}
-				if err != nil {
-					return err
-				}
-				rows[si] = row
-				return nil
-			},
-		})
-	}
-	if err := runAll(opt, sims); err != nil {
+	rows, err := repairRows(opt, injectedAndMicros())
+	if err != nil {
 		return nil, err
 	}
 	return &RepairTable{Rows: rows}, nil

@@ -7,35 +7,15 @@ import (
 
 	"scord/internal/analysis/fix"
 	"scord/internal/analysis/repair"
-	"scord/internal/scor/micro"
 )
 
 // repairRowsForMicros repairs a fixed micro subset on the worker pool at
-// the given Jobs value, exactly as RunRepairSuite schedules micro jobs.
+// the given Jobs value.
 func repairRowsForMicros(t *testing.T, names []string, jobs int) []RepairRow {
 	t.Helper()
-	byName := map[string]int{}
-	for mi, m := range micro.All() {
-		byName[m.Name()] = mi
-	}
-	rows := make([]RepairRow, len(names))
-	var sims []Sim
-	for si, name := range names {
-		si, mi := si, byName[name]
-		sims = append(sims, Sim{
-			Label: "repair/" + name,
-			Run: func() error {
-				row, err := repairMicro(mi)
-				if err != nil {
-					return err
-				}
-				rows[si] = row
-				return nil
-			},
-		})
-	}
-	if err := runAll(Options{Jobs: jobs}, sims); err != nil {
-		t.Fatalf("runAll: %v", err)
+	rows, err := repairRows(Options{Jobs: jobs}, configsNamed(t, names...))
+	if err != nil {
+		t.Fatalf("repairRows: %v", err)
 	}
 	return rows
 }

@@ -143,11 +143,12 @@ func (o Options) canceled() bool {
 
 // runAll drains sims on a bounded worker pool and blocks until every job
 // has finished. Jobs are handed out in submission order; results land in
-// the order-indexed slots the sims close over. The first error in
-// submission order — deterministic, unlike first-in-time — is returned
-// wrapped with its job label; later errors are dropped. A closed
-// Options.Cancel stops dispatch (ErrCanceled) but lets started jobs
-// finish.
+// the order-indexed slots the sims close over. A job that panics fails
+// alone: its panic becomes its error and the other jobs still run. The
+// first error in submission order — deterministic, unlike first-in-time
+// — is returned wrapped with its job label; later errors are dropped. A
+// closed Options.Cancel stops dispatch (ErrCanceled) but lets started
+// jobs finish.
 func runAll(opt Options, sims []Sim) error {
 	workers := opt.jobs()
 	if workers > len(sims) {
@@ -185,7 +186,7 @@ func runAll(opt Options, sims []Sim) error {
 					opt.Telemetry.JobStarted(sims[i].Label)
 				}
 				t0 := time.Now() //scord:allow(detlint/walltime) scheduling telemetry only; never feeds simulation results
-				errs[i] = sims[i].Run()
+				errs[i] = runJob(sims[i])
 				//scord:allow(detlint/walltime) scheduling telemetry only; never feeds simulation results
 				timings[i] = JobTiming{Label: sims[i].Label, Wall: time.Since(t0)}
 				if opt.Telemetry != nil {
@@ -210,6 +211,21 @@ func runAll(opt Options, sims []Sim) error {
 			len(sims)-dispatched, len(sims), ErrCanceled)
 	}
 	return nil
+}
+
+// runJob runs one job, turning a panic (a kernel's re-raised
+// *gpu.WarpPanic included) into the job's error.
+func runJob(s Sim) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if e, ok := r.(error); ok {
+				err = fmt.Errorf("panic: %w", e)
+			} else {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}
+	}()
+	return s.Run()
 }
 
 // geomean returns the geometric mean of xs, accumulating in the log

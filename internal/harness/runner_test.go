@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -95,6 +96,46 @@ func TestRunnerFirstErrorBySubmission(t *testing.T) {
 	}
 	if got := err.Error(); got != "slow-fail: early-submitted failure" {
 		t.Fatalf("error %q missing job label context", got)
+	}
+}
+
+// TestRunnerPanicFailsAlone: a job whose kernel panics, between two
+// healthy jobs, fails alone. runAll returns an error naming its label
+// and carrying the re-raised *gpu.WarpPanic, and both healthy slots are
+// filled.
+func TestRunnerPanicFailsAlone(t *testing.T) {
+	launch := func(faulty bool) error {
+		d, err := gpu.New(config.Default())
+		if err != nil {
+			return err
+		}
+		x := d.Alloc("x", 64)
+		return d.Launch("k", 2, 64, func(c *gpu.Ctx) {
+			if faulty && c.Block == 1 && c.Warp == 1 {
+				c.AtLane(99)
+			}
+			c.Store(x, 1)
+		})
+	}
+	var done [2]bool
+	sims := []Sim{
+		{Label: "healthy-0", Run: func() error { err := launch(false); done[0] = err == nil; return err }},
+		{Label: "faulty", Run: func() error { return launch(true) }},
+		{Label: "healthy-1", Run: func() error { err := launch(false); done[1] = err == nil; return err }},
+	}
+	for _, jobs := range []int{1, 3} {
+		done = [2]bool{}
+		err := runAll(Options{Jobs: jobs}, sims)
+		var wp *gpu.WarpPanic
+		if !errors.As(err, &wp) {
+			t.Fatalf("jobs=%d: got %v, want the faulty job's *gpu.WarpPanic", jobs, err)
+		}
+		if !strings.HasPrefix(err.Error(), "faulty: panic: ") || wp.Block != 1 || wp.Warp != 1 {
+			t.Errorf("jobs=%d: error %.80q (block %d warp %d) does not name the faulty job and warp", jobs, err, wp.Block, wp.Warp)
+		}
+		if done != [2]bool{true, true} {
+			t.Errorf("jobs=%d: healthy jobs completed %v, want both", jobs, done)
+		}
 	}
 }
 
