@@ -10,7 +10,6 @@ package scord_test
 
 import (
 	"bytes"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -228,7 +227,8 @@ func BenchmarkAblationRate(b *testing.B) {
 
 // BenchmarkObsOverhead quantifies the observability tax on the device hot
 // path: one kernel run with every observer detached (the default), with a
-// cycle-domain sampler attached, and with a live cycle gauge watched.
+// cycle-domain sampler attached, and with a live cycle gauge attached as
+// the device's probe.
 // Compare the sub-benchmarks with -benchmem — the acceptance gate is that
 // "detached" matches a bare run exactly (observers you don't attach cost
 // nothing; the per-request fast path is additionally pinned to zero
@@ -273,10 +273,10 @@ func BenchmarkObsOverhead(b *testing.B) {
 	})
 	b.Run("cycle-gauge", func(b *testing.B) {
 		b.ReportAllocs()
-		var g atomic.Uint64
+		var g obs.JobProgress
 		for i := 0; i < b.N; i++ {
 			runOnce(b, func(d *gpu.Device) func(uint64) {
-				d.WatchCycles(&g)
+				d.SetProbe(&g)
 				return func(uint64) {}
 			})
 		}

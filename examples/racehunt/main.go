@@ -1,15 +1,17 @@
 // Racehunt: sweep the 32 ScoR microbenchmarks under ScoRD and the four
 // comparison detector models (LDetector, HAccRG, Barracuda, CURD), and
 // print which detector catches which class of race — a miniature of the
-// paper's Table VIII, measured instead of cited.
+// paper's Table VIII, measured instead of cited. The models ride each
+// device's memory-op stream; ScoRD is the device's own detector.
 package main
 
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"scord"
-	"scord/internal/detectors"
+	"scord/internal/replay"
 	"scord/internal/scor"
 	"scord/internal/scor/micro"
 )
@@ -28,10 +30,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		models := detectors.All(dev.Mem().Words())
-		for _, mod := range models {
-			dev.AddChecker(mod)
+		var models replay.Sink
+		for _, n := range names[:len(names)-1] {
+			mod, err := replay.TargetByName(strings.ToLower(n), cfg)
+			if err != nil {
+				log.Fatal(err)
+			}
+			models = append(models, mod)
 		}
+		dev.SetOpSink(models)
 		if err := m.Run(dev, nil); err != nil {
 			log.Fatalf("%s: %v", m.Name(), err)
 		}

@@ -78,9 +78,6 @@ func (c *Cache) LineBase(a mem.Addr) mem.Addr {
 	return a &^ mem.Addr(c.lineBytes-1)
 }
 
-// LineBytes returns the line size.
-func (c *Cache) LineBytes() int { return c.lineBytes }
-
 func (c *Cache) setOf(base mem.Addr) int {
 	return int(uint64(base) / uint64(c.lineBytes) % uint64(c.sets))
 }
@@ -294,18 +291,3 @@ func (c *Cache) FlushAll(m *mem.Memory) int {
 	}
 	return flushed
 }
-
-// DirtyLines counts currently dirty lines.
-func (c *Cache) DirtyLines() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].dirty != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Sets and Assoc expose geometry for tests.
-func (c *Cache) Sets() int  { return c.sets }
-func (c *Cache) Assoc() int { return c.assoc }

@@ -5,6 +5,20 @@ import (
 	"strings"
 )
 
+// Describe renders a race record on one line: its scope and kind, its
+// location as resolved by locate, its site, the two accesses and how
+// often it was seen. The live device and the replay engine both render
+// records through it, so their reports compare as text.
+func Describe(r Record, locate func(addr uint64) string) string {
+	scope := "device-scope"
+	if r.SameBlock {
+		scope = "block-scope"
+	}
+	return fmt.Sprintf("%s %s race on %s site=%q prev=(b%d,w%d) cur=(b%d,w%d) x%d",
+		scope, r.Kind, locate(r.Addr), r.Site,
+		r.PrevBlock, r.PrevWarp, r.CurBlock, r.CurWarp, r.Count)
+}
+
 // Explain renders a multi-line human diagnosis of a race record: what the
 // detector observed, why it is a race under the scoped (HRF) memory model,
 // and the usual fix. locate resolves a data address to a human-readable

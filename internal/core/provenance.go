@@ -125,9 +125,6 @@ func (d *Detector) EnableProvenance() {
 	d.shadow = make(map[int]shadowPrev)
 }
 
-// ProvenanceEnabled reports whether evidence capture is on.
-func (d *Detector) ProvenanceEnabled() bool { return d.prov }
-
 // EvidenceFor returns the captured evidence for a race record (matched by
 // the record's dedup identity: kind, metadata-group address, site).
 func (d *Detector) EvidenceFor(r Record) (Evidence, bool) {

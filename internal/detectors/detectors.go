@@ -1,7 +1,9 @@
 // Package detectors models the related GPU race detectors that ScoRD is
-// compared against in Table VIII of the paper. Each model is a functional
-// tap (core.Checker) on the simulator's access stream with the capability
-// profile the paper attributes to it:
+// compared against in Table VIII of the paper. Each model observes a run
+// only through its scoped memory-op stream: it has replay.Target's method
+// set, so it replays a recorded trace or, through replay.Sink, rides a
+// live device's op stream. The models have the capability profiles the
+// paper attributes to them:
 //
 //	Detector   Fences  Locks  Scoped fences  Scoped atomics
 //	LDetector    -       -         -               -
@@ -22,8 +24,8 @@ import (
 	"scord/internal/stats"
 )
 
-// model wraps the ScoRD logic with scope promotion.
-type model struct {
+// Model wraps the ScoRD logic with scope promotion.
+type Model struct {
 	name         string
 	inner        *core.Detector
 	blindFences  bool // treat every fence as device scope
@@ -32,10 +34,10 @@ type model struct {
 
 // newModel sizes the wrapped detector's metadata for an arena of words
 // 4-byte words; it has no modelled timing, so no metadata base either.
-func newModel(name string, words int, blindFences, blindAtomics bool) *model {
+func newModel(name string, words int, blindFences, blindAtomics bool) *Model {
 	cfg := config.Default().Detector
 	cfg.Mode = config.ModeFull4B
-	return &model{
+	return &Model{
 		name:         name,
 		inner:        core.NewDetector(cfg, words, 0, &stats.Stats{}),
 		blindFences:  blindFences,
@@ -47,43 +49,45 @@ func newModel(name string, words int, blindFences, blindAtomics bool) *model {
 // and lock tracking, but entirely scope-blind. words is the device
 // arena's size in 4-byte words (Config.DeviceMemBytes / 4); every access
 // the model sees must fall inside it.
-func NewHAccRG(words int) core.Checker { return newModel("HAccRG", words, true, true) }
+func NewHAccRG(words int) *Model { return newModel("HAccRG", words, true, true) }
 
 // NewBarracuda models Barracuda (Eizenberg et al., PLDI'17): honors fence
 // scopes but ignores atomic scopes. words is as for NewHAccRG.
-func NewBarracuda(words int) core.Checker { return newModel("Barracuda", words, false, true) }
+func NewBarracuda(words int) *Model { return newModel("Barracuda", words, false, true) }
 
 // NewCURD models CURD (Peng et al., PLDI'18): the same capability profile
 // as Barracuda (it delegates atomics/fences to Barracuda's machinery).
 // words is as for NewHAccRG.
-func NewCURD(words int) core.Checker { return newModel("CURD", words, false, true) }
+func NewCURD(words int) *Model { return newModel("CURD", words, false, true) }
 
-func (m *model) Name() string           { return m.name }
-func (m *model) OnKernelStart()         { m.inner.ResetForKernel() }
-func (m *model) Records() []core.Record { return m.inner.Records() }
+func (m *Model) Name() string           { return m.name }
+func (m *Model) OnKernelStart()         { m.inner.ResetForKernel() }
+func (m *Model) Records() []core.Record { return m.inner.Records() }
 
-func (m *model) OnAccess(a core.Access) {
-	if m.blindAtomics && a.Kind == core.KindAtomic {
-		a.Scope = core.ScopeDevice
+// OnAccess checks one lane access, then applies its atomic flavour to the
+// lock-inference state. A blind-atomics model promotes the scope of every
+// lock-inference update, but the checked access's own scope only when the
+// access is an atomic.
+func (m *Model) OnAccess(a core.Access, aop core.AtomicOp) {
+	scope := a.Scope
+	if m.blindAtomics {
+		scope = core.ScopeDevice
+		if a.Kind == core.KindAtomic {
+			a.Scope = core.ScopeDevice
+		}
 	}
 	m.inner.CheckAccess(a)
+	m.inner.OnAtomicOp(a.Block, a.Warp, aop, a.Addr, scope)
 }
 
-func (m *model) OnFence(block, warp int, scope core.Scope) {
+func (m *Model) OnFence(block, warp int, scope core.Scope) {
 	if m.blindFences {
 		scope = core.ScopeDevice
 	}
 	m.inner.OnFence(block, warp, scope)
 }
 
-func (m *model) OnAtomicOp(block, warp int, op core.AtomicOp, addr uint64, scope core.Scope) {
-	if m.blindAtomics {
-		scope = core.ScopeDevice
-	}
-	m.inner.OnAtomicOp(block, warp, op, addr, scope)
-}
-
-// ldetector models LDetector (Li et al., WODET'14): parallel-region
+// LDetector models LDetector (Li et al., WODET'14): parallel-region
 // snapshot comparison. It sees only stores, flags a location written by
 // two different warps in one kernel when the second write changes the
 // value (silent stores are invisible to value diffing), and ignores all
@@ -92,7 +96,7 @@ func (m *model) OnAtomicOp(block, warp int, op core.AtomicOp, addr uint64, scope
 // Both maps are made on their first write. A kernel start drops the
 // writers map rather than clearing it: clearing costs the capacity the
 // largest kernel grew it to, at every launch after it.
-type ldetector struct {
+type LDetector struct {
 	writers map[uint64]ldWrite // this kernel's last writer per address
 	records []core.Record
 	seen    map[uint64]bool // addresses already reported
@@ -103,13 +107,13 @@ type ldWrite struct {
 }
 
 // NewLDetector returns the snapshot-diff model.
-func NewLDetector() core.Checker { return &ldetector{} }
+func NewLDetector() *LDetector { return &LDetector{} }
 
-func (l *ldetector) Name() string { return "LDetector" }
+func (l *LDetector) Name() string { return "LDetector" }
 
-func (l *ldetector) OnKernelStart() { l.writers = nil }
+func (l *LDetector) OnKernelStart() { l.writers = nil }
 
-func (l *ldetector) OnAccess(a core.Access) {
+func (l *LDetector) OnAccess(a core.Access, _ core.AtomicOp) {
 	if a.Kind != core.KindStore {
 		return // loads and atomics are invisible to snapshot diffing
 	}
@@ -145,12 +149,5 @@ func (l *ldetector) OnAccess(a core.Access) {
 	l.writers[a.Addr] = ldWrite{block: a.Block, warp: a.Warp}
 }
 
-func (l *ldetector) OnFence(int, int, core.Scope)                           {}
-func (l *ldetector) OnAtomicOp(int, int, core.AtomicOp, uint64, core.Scope) {}
-func (l *ldetector) Records() []core.Record                                 { return l.records }
-
-// All returns the four comparison models in Table VIII order, for a
-// device arena of words 4-byte words.
-func All(words int) []core.Checker {
-	return []core.Checker{NewLDetector(), NewHAccRG(words), NewBarracuda(words), NewCURD(words)}
-}
+func (l *LDetector) OnFence(int, int, core.Scope) {}
+func (l *LDetector) Records() []core.Record       { return l.records }

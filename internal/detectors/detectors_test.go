@@ -18,9 +18,9 @@ func access(kind core.AccessKind, addr uint64, block int, scope core.Scope) core
 func TestHAccRGMissesScopedFence(t *testing.T) {
 	h := NewHAccRG(words)
 	h.OnKernelStart()
-	h.OnAccess(access(core.KindStore, 0x100, 0, core.ScopeDevice))
+	h.OnAccess(access(core.KindStore, 0x100, 0, core.ScopeDevice), core.AtomicOther)
 	h.OnFence(0, 0, core.ScopeBlock) // insufficient, but HAccRG can't tell
-	h.OnAccess(access(core.KindLoad, 0x100, 1, core.ScopeDevice))
+	h.OnAccess(access(core.KindLoad, 0x100, 1, core.ScopeDevice), core.AtomicOther)
 	if len(h.Records()) != 0 {
 		t.Fatalf("scope-blind model unexpectedly caught the scoped fence race: %v", h.Records())
 	}
@@ -28,9 +28,9 @@ func TestHAccRGMissesScopedFence(t *testing.T) {
 	// Barracuda honors fence scopes and does catch it.
 	b := NewBarracuda(words)
 	b.OnKernelStart()
-	b.OnAccess(access(core.KindStore, 0x100, 0, core.ScopeDevice))
+	b.OnAccess(access(core.KindStore, 0x100, 0, core.ScopeDevice), core.AtomicOther)
 	b.OnFence(0, 0, core.ScopeBlock)
-	b.OnAccess(access(core.KindLoad, 0x100, 1, core.ScopeDevice))
+	b.OnAccess(access(core.KindLoad, 0x100, 1, core.ScopeDevice), core.AtomicOther)
 	if len(b.Records()) == 0 {
 		t.Fatal("Barracuda model missed the scoped fence race")
 	}
@@ -39,11 +39,11 @@ func TestHAccRGMissesScopedFence(t *testing.T) {
 // TestBarracudaMissesScopedAtomic: atomic scopes are invisible to the
 // Barracuda/CURD models.
 func TestBarracudaMissesScopedAtomic(t *testing.T) {
-	for _, mk := range []func(int) core.Checker{NewBarracuda, NewCURD, NewHAccRG} {
+	for _, mk := range []func(int) *Model{NewBarracuda, NewCURD, NewHAccRG} {
 		m := mk(words)
 		m.OnKernelStart()
-		m.OnAccess(access(core.KindAtomic, 0x100, 0, core.ScopeBlock))
-		m.OnAccess(access(core.KindAtomic, 0x100, 1, core.ScopeBlock))
+		m.OnAccess(access(core.KindAtomic, 0x100, 0, core.ScopeBlock), core.AtomicOther)
+		m.OnAccess(access(core.KindAtomic, 0x100, 1, core.ScopeBlock), core.AtomicOther)
 		if len(m.Records()) != 0 {
 			t.Fatalf("%s unexpectedly caught a scoped atomic race", m.Name())
 		}
@@ -53,11 +53,11 @@ func TestBarracudaMissesScopedAtomic(t *testing.T) {
 // TestModelsCatchPlainMissingFence: all happens-before models catch an
 // unsynchronized cross-block conflict.
 func TestModelsCatchPlainMissingFence(t *testing.T) {
-	for _, mk := range []func(int) core.Checker{NewHAccRG, NewBarracuda, NewCURD} {
+	for _, mk := range []func(int) *Model{NewHAccRG, NewBarracuda, NewCURD} {
 		m := mk(words)
 		m.OnKernelStart()
-		m.OnAccess(access(core.KindStore, 0x100, 0, core.ScopeDevice))
-		m.OnAccess(access(core.KindLoad, 0x100, 1, core.ScopeDevice))
+		m.OnAccess(access(core.KindStore, 0x100, 0, core.ScopeDevice), core.AtomicOther)
+		m.OnAccess(access(core.KindLoad, 0x100, 1, core.ScopeDevice), core.AtomicOther)
 		if len(m.Records()) == 0 {
 			t.Fatalf("%s missed a plain missing-fence race", m.Name())
 		}
@@ -68,18 +68,18 @@ func TestLDetectorWriteWriteOnly(t *testing.T) {
 	l := NewLDetector()
 	l.OnKernelStart()
 	// Read-write conflicts are invisible to snapshot diffing.
-	l.OnAccess(access(core.KindStore, 0x100, 0, core.ScopeDevice))
-	l.OnAccess(access(core.KindLoad, 0x100, 1, core.ScopeDevice))
+	l.OnAccess(access(core.KindStore, 0x100, 0, core.ScopeDevice), core.AtomicOther)
+	l.OnAccess(access(core.KindLoad, 0x100, 1, core.ScopeDevice), core.AtomicOther)
 	if len(l.Records()) != 0 {
 		t.Fatal("LDetector model saw a read")
 	}
 	// Write-write conflicts are caught.
-	l.OnAccess(access(core.KindStore, 0x100, 1, core.ScopeDevice))
+	l.OnAccess(access(core.KindStore, 0x100, 1, core.ScopeDevice), core.AtomicOther)
 	if len(l.Records()) != 1 {
 		t.Fatalf("LDetector records = %d, want 1", len(l.Records()))
 	}
 	// ...and deduplicated per address.
-	l.OnAccess(access(core.KindStore, 0x100, 2, core.ScopeDevice))
+	l.OnAccess(access(core.KindStore, 0x100, 2, core.ScopeDevice), core.AtomicOther)
 	if len(l.Records()) != 1 {
 		t.Fatal("LDetector did not dedup per address")
 	}
@@ -90,12 +90,12 @@ func TestLDetectorIgnoresLocks(t *testing.T) {
 	l.OnKernelStart()
 	// Two properly locked writers still look racy to snapshot diffing —
 	// the false-positive weakness Table VIII implies.
-	l.OnAtomicOp(0, 0, core.AtomicCAS, 0x500, core.ScopeDevice)
+	l.OnAccess(access(core.KindAtomic, 0x500, 0, core.ScopeDevice), core.AtomicCAS)
 	l.OnFence(0, 0, core.ScopeDevice)
-	l.OnAccess(access(core.KindStore, 0x100, 0, core.ScopeDevice))
-	l.OnAtomicOp(1, 0, core.AtomicCAS, 0x500, core.ScopeDevice)
+	l.OnAccess(access(core.KindStore, 0x100, 0, core.ScopeDevice), core.AtomicOther)
+	l.OnAccess(access(core.KindAtomic, 0x500, 1, core.ScopeDevice), core.AtomicCAS)
 	l.OnFence(1, 0, core.ScopeDevice)
-	l.OnAccess(access(core.KindStore, 0x100, 1, core.ScopeDevice))
+	l.OnAccess(access(core.KindStore, 0x100, 1, core.ScopeDevice), core.AtomicOther)
 	if len(l.Records()) == 0 {
 		t.Fatal("LDetector model unexpectedly honors locks")
 	}
@@ -104,23 +104,10 @@ func TestLDetectorIgnoresLocks(t *testing.T) {
 func TestKernelStartResets(t *testing.T) {
 	l := NewLDetector()
 	l.OnKernelStart()
-	l.OnAccess(access(core.KindStore, 0x100, 0, core.ScopeDevice))
+	l.OnAccess(access(core.KindStore, 0x100, 0, core.ScopeDevice), core.AtomicOther)
 	l.OnKernelStart() // kernel boundary synchronizes
-	l.OnAccess(access(core.KindStore, 0x100, 1, core.ScopeDevice))
+	l.OnAccess(access(core.KindStore, 0x100, 1, core.ScopeDevice), core.AtomicOther)
 	if len(l.Records()) != 0 {
 		t.Fatal("cross-kernel writes flagged")
-	}
-}
-
-func TestAllReturnsFourModels(t *testing.T) {
-	models := All(words)
-	if len(models) != 4 {
-		t.Fatalf("All() = %d models, want 4", len(models))
-	}
-	want := map[string]bool{"LDetector": true, "HAccRG": true, "Barracuda": true, "CURD": true}
-	for _, m := range models {
-		if !want[m.Name()] {
-			t.Fatalf("unexpected model %q", m.Name())
-		}
 	}
 }

@@ -29,7 +29,6 @@ type DRAM struct {
 	channels   []channel
 	rowBytes   uint64
 	accesses   uint64
-	rowHits    uint64
 	chAccesses []uint64 // per-channel transaction counts, indexed by channel
 }
 
@@ -76,7 +75,6 @@ func (d *DRAM) Access(a mem.Addr, ready uint64) uint64 {
 	var dataAt uint64
 	if b.openRow == row {
 		// Row-buffer hit: CAS + burst.
-		d.rowHits++
 		dataAt = start + uint64(d.cfg.TCL)
 	} else {
 		// Row miss: respect tRC since the previous activate on this bank
@@ -117,14 +115,6 @@ func (d *DRAM) ChannelAccesses() []uint64 {
 // that snapshot repeatedly.
 func (d *DRAM) ChannelAccessesInto(dst []uint64) {
 	copy(dst, d.chAccesses)
-}
-
-// RowHitRate returns the fraction of accesses that hit an open row.
-func (d *DRAM) RowHitRate() float64 {
-	if d.accesses == 0 {
-		return 0
-	}
-	return float64(d.rowHits) / float64(d.accesses)
 }
 
 func max64(a, b uint64) uint64 {

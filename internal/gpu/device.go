@@ -14,7 +14,6 @@ package gpu
 import (
 	"fmt"
 	"runtime/debug"
-	"sync/atomic"
 
 	"scord/internal/cache"
 	"scord/internal/config"
@@ -47,21 +46,13 @@ type Device struct {
 	metaLatchLine mem.Addr
 	metaLatchAt   uint64
 
-	// checkers are purely functional observers of the access stream (the
-	// Table VIII comparison models); they never affect timing.
-	checkers []core.Checker
-
 	// probe, when attached, observes the simulated clock at every request
-	// service point (the cycle-domain sampling hook of internal/obs).
+	// service point (the metric sampler and live telemetry of internal/obs).
 	probe Probe
 
-	// cycleWatch, when attached, receives the current simulated cycle so
-	// an external observer (live run telemetry) can read progress without
-	// touching simulation state.
-	cycleWatch *atomic.Uint64
-
-	// sink, when attached, records the scoped memory-op stream in detector
-	// presentation order (trace record/replay, internal/tracefile).
+	// sink, when attached, observes the scoped memory-op stream in
+	// detector presentation order (trace recording, and the Table VIII
+	// models through replay.Sink).
 	sink OpSink
 
 	// ph books every latency the timing model charges to a phase account
@@ -193,7 +184,8 @@ func (d *Device) Alloc(name string, n int) mem.Addr {
 // is presented with, in presentation order. The stream is a pure function
 // of (config, seed, kernel), so recording it once (internal/tracefile)
 // lets internal/replay re-run any detector model without the timing
-// simulator. Like the probe and checkers, a sink is purely
+// simulator, and replay.Sink runs the same models on it live. Like the
+// probe, the device's other observer hook, a sink is purely
 // observational: it must not mutate simulation state, and a detached
 // (nil) sink costs one predictable branch per op.
 type OpSink interface {
@@ -215,7 +207,7 @@ type OpSink interface {
 	Barrier(block int, id uint8, warps int, cycle uint64)
 }
 
-// SetOpSink attaches the memory-op stream recorder (nil detaches it).
+// SetOpSink attaches the memory-op stream observer (nil detaches it).
 func (d *Device) SetOpSink(s OpSink) { d.sink = s }
 
 // Stats returns the accumulated simulation statistics.
@@ -224,28 +216,19 @@ func (d *Device) Stats() *stats.Stats { return &d.st }
 // Detector returns the race detector, or nil when detection is off.
 func (d *Device) Detector() *core.Detector { return d.det }
 
-// AddChecker attaches a functional race-detection model (a Table VIII
-// comparator) that observes the access stream without timing impact.
-func (d *Device) AddChecker(c core.Checker) { d.checkers = append(d.checkers, c) }
-
 // Probe observes the simulated clock from inside the simulation loop. It
 // is invoked at every warp request service point and once at the end of
 // each launch, always with the current simulated cycle — wall-clock time
 // never appears. A probe must not mutate simulation state; like the
-// sink and checkers it is purely observational, and a detached (nil)
-// probe costs a single predictable branch.
+// sink it is purely observational, and a detached (nil) probe costs a
+// single predictable branch. The metric sampler and the live telemetry
+// gauge of internal/obs are probes.
 type Probe interface {
 	Tick(now uint64)
 }
 
 // SetProbe attaches the cycle-domain observer (nil detaches it).
 func (d *Device) SetProbe(p Probe) { d.probe = p }
-
-// WatchCycles publishes the current simulated cycle into g at every
-// request service point, letting another goroutine (live run telemetry)
-// read simulation progress. The store is atomic and carries no other
-// synchronization; nil detaches.
-func (d *Device) WatchCycles(g *atomic.Uint64) { d.cycleWatch = g }
 
 // SMCountersSnapshot copies the per-SM activity counters, indexed by SM id.
 func (d *Device) SMCountersSnapshot() []SMCounters {
@@ -278,23 +261,16 @@ func (d *Device) Races() []core.Record {
 }
 
 // DescribeRecord renders a race record with the data address resolved to
-// its allocation name.
-func (d *Device) DescribeRecord(r core.Record) string {
-	scope := "device-scope"
-	if r.SameBlock {
-		scope = "block-scope"
-	}
-	return fmt.Sprintf("%s %s race on %s site=%q prev=(b%d,w%d) cur=(b%d,w%d) x%d",
-		scope, r.Kind, d.mem.Describe(mem.Addr(r.Addr)), r.Site,
-		r.PrevBlock, r.PrevWarp, r.CurBlock, r.CurWarp, r.Count)
-}
+// its allocation name (core.Describe).
+func (d *Device) DescribeRecord(r core.Record) string { return core.Describe(r, d.locate) }
 
 // ExplainRecord renders a multi-line diagnosis of a race record — what was
 // observed, why it races under the scoped memory model, and the usual fix —
 // with addresses resolved to allocation names.
-func (d *Device) ExplainRecord(r core.Record) string {
-	return core.Explain(r, func(addr uint64) string { return d.mem.Describe(mem.Addr(addr)) })
-}
+func (d *Device) ExplainRecord(r core.Record) string { return core.Explain(r, d.locate) }
+
+// locate resolves a data address to its allocation name.
+func (d *Device) locate(addr uint64) string { return d.mem.Describe(mem.Addr(addr)) }
 
 // Cycles returns the current simulated cycle.
 func (d *Device) Cycles() uint64 { return d.eng.Now() }
@@ -331,9 +307,6 @@ func (d *Device) Launch(name string, blocks, threadsPerBlock int, k Kernel) erro
 	}
 	if d.det != nil {
 		d.det.ResetForKernel()
-	}
-	for _, ch := range d.checkers {
-		ch.OnKernelStart()
 	}
 	if d.sink != nil {
 		d.sink.KernelStart(name, blocks, threadsPerBlock, d.eng.Now())
@@ -374,9 +347,6 @@ func (d *Device) Launch(name string, blocks, threadsPerBlock int, k Kernel) erro
 	// the tail of a kernel is never silently dropped from sampled series.
 	if d.probe != nil {
 		d.probe.Tick(d.eng.Now())
-	}
-	if d.cycleWatch != nil {
-		d.cycleWatch.Store(d.eng.Now())
 	}
 
 	run := KernelRun{

@@ -22,14 +22,11 @@ func (d *Device) service(c *Ctx) {
 	d.active = c
 	r := &c.req
 	now := d.eng.Now()
-	// Observability hooks: both read the simulated clock only and are
-	// detached (nil) by default — the hot path pays two predictable
-	// branches and zero allocations.
+	// The probe reads the simulated clock only and is detached (nil) by
+	// default — the hot path pays one predictable branch and zero
+	// allocations.
 	if d.probe != nil {
 		d.probe.Tick(now)
-	}
-	if d.cycleWatch != nil {
-		d.cycleWatch.Store(now)
 	}
 	switch r.kind {
 	case reqExit:
@@ -59,9 +56,6 @@ func (d *Device) service(c *Ctx) {
 		}
 		if d.det != nil {
 			d.det.OnFence(c.Block, c.Warp, r.scope)
-		}
-		for _, ch := range d.checkers {
-			ch.OnFence(c.Block, c.Warp, r.scope)
 		}
 		if d.sink != nil {
 			d.sink.Fence(c.Block, c.Warp, r.scope, now, false)
@@ -109,14 +103,9 @@ func (d *Device) releaseBarrier(bs *blockState) {
 			d.det.OnFence(w.Block, w.Warp, ScopeBlock)
 		}
 	}
-	for _, ch := range d.checkers {
-		for _, w := range warps {
-			ch.OnFence(w.Block, w.Warp, ScopeBlock)
-		}
-	}
 	if d.sink != nil {
 		// The marker precedes the per-warp implicit fences, mirroring the
-		// calls the detector and checkers just received.
+		// calls the detector just received.
 		d.sink.Barrier(bs.id, bs.barrierID, len(warps), d.eng.Now())
 		for _, w := range warps {
 			d.sink.Fence(w.Block, w.Warp, ScopeBlock, d.eng.Now(), true)
@@ -290,7 +279,7 @@ func (d *Device) serviceMem(c *Ctx, op *memOp) uint64 {
 				d.det.OnAtomicOp(c.Block, c.Warp, core.AtomicRelease, uint64(a), op.scope)
 			}
 			d.execWord(sm, op, i, a)
-			if !detOn && len(d.checkers) == 0 && d.sink == nil {
+			if !detOn && d.sink == nil {
 				continue
 			}
 			access := core.Access{
@@ -307,9 +296,9 @@ func (d *Device) serviceMem(c *Ctx, op *memOp) uint64 {
 				Diverged: c.diverged,
 			}
 			if d.sink != nil {
-				// One record per lane carries (Access, AtomicOp); the replay
-				// engine reconstructs the exact detector/checker call
-				// sequence from it, including the release-before-check rule.
+				// One record per lane carries (Access, AtomicOp); each replay
+				// target reconstructs its exact call sequence from it,
+				// including ScoRD's release-before-check rule.
 				d.sink.Access(access, op.atomicOp, 4)
 			}
 			if detOn {
@@ -321,10 +310,6 @@ func (d *Device) serviceMem(c *Ctx, op *memOp) uint64 {
 				if op.atomicOp != core.AtomicRelease {
 					d.det.OnAtomicOp(c.Block, c.Warp, op.atomicOp, uint64(a), op.scope)
 				}
-			}
-			for _, ch := range d.checkers {
-				ch.OnAccess(access)
-				ch.OnAtomicOp(c.Block, c.Warp, op.atomicOp, uint64(a), op.scope)
 			}
 		}
 		d.metaLines = metaLines

@@ -70,26 +70,40 @@ type Options struct {
 
 // observe attaches the configured observers to a freshly built device and
 // returns a flush function to call once the job's simulation is done (it
-// emits the sampler's final partial interval). With no observers
-// configured both the attach and the flush are no-ops and the device's
-// hot path keeps its detached nil-checks.
+// emits the sampler's final partial interval). The sampler and the
+// telemetry cycle gauge are both probes, ticked from one probe list.
+// With no observers configured both the attach and the flush are no-ops
+// and the device's hot path keeps its detached nil-checks.
 func (o Options) observe(d *gpu.Device, label string) func() {
 	var s *obs.Sampler
+	var ps probes
 	if o.Samples != nil {
 		every := o.SampleEvery
 		if every == 0 {
 			every = DefaultSampleEvery
 		}
 		s = obs.NewSampler(d, every, o.Samples.Series(label))
-		d.SetProbe(s)
+		ps = append(ps, s)
 	}
 	if o.Telemetry != nil {
-		d.WatchCycles(&o.Telemetry.JobQueued(label).Cycles)
+		ps = append(ps, o.Telemetry.JobQueued(label))
+	}
+	if len(ps) > 0 {
+		d.SetProbe(ps)
 	}
 	return func() {
 		if s != nil {
 			s.Flush(d.Cycles())
 		}
+	}
+}
+
+// probes ticks each of a device's probes in turn.
+type probes []gpu.Probe
+
+func (ps probes) Tick(now uint64) {
+	for _, p := range ps {
+		p.Tick(now)
 	}
 }
 

@@ -53,11 +53,12 @@ func TestSampledMetricsParallelMatchesSequential(t *testing.T) {
 }
 
 // TestTelemetryGaugesAdvance: per-job simulated-cycle gauges reach the
-// device's final cycle count — live progress is wired through
-// Device.WatchCycles, not inferred.
+// device's final cycle count — live progress is wired through the
+// device's probe, not inferred. The sampler is attached too, so each
+// device ticks both probes from the harness's probe list.
 func TestTelemetryGaugesAdvance(t *testing.T) {
 	tel := obs.NewRunTelemetry()
-	if _, err := RunTable8(Options{Jobs: 2, Telemetry: tel}); err != nil {
+	if _, err := RunTable8(Options{Jobs: 2, Telemetry: tel, Samples: obs.NewCollector()}); err != nil {
 		t.Fatal(err)
 	}
 	snap := tel.Snap()

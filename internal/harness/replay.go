@@ -84,19 +84,22 @@ func RecordMicros(opt Options, dir string) error {
 	return runAll(opt, sims)
 }
 
-// replayTargets builds one fresh instance of every Table VIII model as a
-// replay target, each under the trace's recorded configuration: the four
-// comparison checkers plus real ScoRD.
-func replayTargets(h tracefile.Header) ([]replay.Target, error) {
-	var targets []replay.Target
+// comparisonModels builds one fresh instance of each of the four Table
+// VIII comparison models (every replay target but ScoRD) under cfg, as
+// one sink for a live device's op stream.
+func comparisonModels(cfg config.Config) (replay.Sink, error) {
+	var models replay.Sink
 	for _, name := range replay.TargetNames() {
-		t, err := replay.TargetByName(name, h.Config)
+		if name == "scord" {
+			continue
+		}
+		t, err := replay.TargetByName(name, cfg)
 		if err != nil {
 			return nil, err
 		}
-		targets = append(targets, t)
+		models = append(models, t)
 	}
-	return targets, nil
+	return models, nil
 }
 
 // RunTable8Replay regenerates the Table VIII capability matrix from a
@@ -128,10 +131,15 @@ func RunTable8Replay(opt Options, dir string) (*Table8, error) {
 				if err != nil {
 					return err
 				}
-				targets, err := replayTargets(tr.Header())
+				targets, err := comparisonModels(tr.Header().Config)
 				if err != nil {
 					return err
 				}
+				sc, err := replay.NewScoRD(tr.Header().Config)
+				if err != nil {
+					return err
+				}
+				targets = append(targets, sc)
 				specs := m.ExpectedRaces(nil)
 				v := make(map[string]t8verdict, len(targets))
 				for _, t := range targets {

@@ -8,9 +8,10 @@ import (
 
 // TestTable8ReplayMatchesLive is the harness-level equivalence gate: the
 // capability matrix regenerated from a recorded trace corpus must render
-// byte-identically to the live-simulation matrix. Valid because checkers
-// never influence timing — a checker-free recording carries the exact
-// op stream the live checkers observed.
+// byte-identically to the live-simulation matrix. Valid because the
+// models only observe the op stream and never influence timing
+// (TestObserversDoNotPerturb in internal/replay) — a model-free
+// recording carries the exact op stream the live models observed.
 func TestTable8ReplayMatchesLive(t *testing.T) {
 	if raceEnabled {
 		t.Skip("runs the full micro corpus twice; suite tests carry the -race coverage")

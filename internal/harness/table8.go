@@ -6,7 +6,6 @@ import (
 
 	"scord/internal/config"
 	"scord/internal/core"
-	"scord/internal/detectors"
 	"scord/internal/gpu"
 	"scord/internal/mem"
 	"scord/internal/scor"
@@ -46,14 +45,6 @@ func (c Capability) String() string {
 // catches.
 type Table8 struct {
 	Rows []Table8Row
-}
-
-// classOf buckets a racey microbenchmark into a Table VIII column using
-// its declared race class. Scoped lock bugs are detected through the
-// scoped-atomic condition on the lock variable, so they score in the
-// scoped-atomics column.
-func classOf(m *micro.Micro) string {
-	return m.Class()
 }
 
 // table8Detectors is the row order of the capability matrix.
@@ -98,7 +89,11 @@ func assembleTable8(micros []*micro.Micro, verdicts []map[string]t8verdict) *Tab
 		for _, det := range table8Detectors {
 			v := verdicts[mi][det]
 			if m.Racey() {
-				bump(det, classOf(m), true, v.caughtAll)
+				// A micro scores in its declared race class's column.
+				// Scoped lock bugs are detected through the scoped-atomic
+				// condition on the lock variable, so their class is
+				// scoped-atomics.
+				bump(det, m.Class(), true, v.caughtAll)
 			} else if v.anyRecords {
 				fps[det]++
 			}
@@ -126,10 +121,11 @@ func assembleTable8(micros []*micro.Micro, verdicts []map[string]t8verdict) *Tab
 }
 
 // RunTable8 runs every microbenchmark once with the four comparison models
-// attached as functional checkers and ScoRD as the real detector, then
-// scores each detector per race class. Each microbenchmark is one
-// independent job (its own device, its own model instances); the matrix is
-// aggregated sequentially from the per-micro verdicts.
+// riding the device's op stream (replay.Sink) and ScoRD as the real
+// detector, then scores each detector per race class. Each
+// microbenchmark is one independent job (its own device, its own model
+// instances); the matrix is aggregated sequentially from the per-micro
+// verdicts.
 func RunTable8(opt Options) (*Table8, error) {
 	cfg := opt.cfg()
 	micros := micro.All()
@@ -148,10 +144,11 @@ func RunTable8(opt Options) (*Table8, error) {
 				}
 				flush := opt.observe(d, label)
 				defer flush()
-				models := detectors.All(d.Mem().Words())
-				for _, mod := range models {
-					d.AddChecker(mod)
+				models, err := comparisonModels(d.Config())
+				if err != nil {
+					return err
 				}
+				d.SetOpSink(models)
 				if err := m.Run(d, nil); err != nil {
 					return fmt.Errorf("micro %s: %w", m.Name(), err)
 				}

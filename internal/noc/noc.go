@@ -70,9 +70,6 @@ func (n *Network) FromL2(bank, sm, bytes int, ready uint64) uint64 {
 	return n.transfer(&n.l2Inj[bank], &n.smEj[sm], bytes, ready, 0)
 }
 
-// Latency returns the configured pipeline latency.
-func (n *Network) Latency() uint64 { return n.latency }
-
 func max64(a, b uint64) uint64 {
 	if a > b {
 		return a

@@ -19,14 +19,17 @@ const (
 
 var jobStateNames = [...]string{"queued", "running", "done"}
 
-// JobProgress is the live view of one harness job. Cycles is written by
-// the simulation (via gpu.Device.WatchCycles) and read by the telemetry
-// server; both sides touch only this atomic, so the simulation result
+// JobProgress is the live view of one harness job. It is a gpu.Probe:
+// the simulation writes Cycles through Tick and the telemetry server
+// reads it; both sides touch only this atomic, so the simulation result
 // cannot depend on whether anyone is watching.
 type JobProgress struct {
 	Cycles atomic.Uint64
 	state  atomic.Int32
 }
+
+// Tick implements gpu.Probe: it publishes the current simulated cycle.
+func (j *JobProgress) Tick(now uint64) { j.Cycles.Store(now) }
 
 // State returns the job's lifecycle state (JobQueued/JobRunning/JobDone).
 func (j *JobProgress) State() int32 { return j.state.Load() }

@@ -2,14 +2,16 @@ package replay_test
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"testing"
 
 	"scord/internal/config"
 	"scord/internal/core"
-	"scord/internal/detectors"
 	"scord/internal/gpu"
+	"scord/internal/obs"
 	"scord/internal/replay"
+	"scord/internal/scor"
 	"scord/internal/scor/micro"
 	"scord/internal/stats"
 	"scord/internal/tracefile"
@@ -106,16 +108,78 @@ func TestLiveVsReplayExtensionMicros(t *testing.T) {
 	}
 }
 
+// tee forwards a device's op stream to two sinks, so one simulation can
+// both record its trace and drive live models.
+type tee [2]gpu.OpSink
+
+func (t tee) KernelStart(name string, blocks, threads int, cycle uint64) {
+	t[0].KernelStart(name, blocks, threads, cycle)
+	t[1].KernelStart(name, blocks, threads, cycle)
+}
+
+func (t tee) KernelEnd(name string, cycle uint64) {
+	t[0].KernelEnd(name, cycle)
+	t[1].KernelEnd(name, cycle)
+}
+
+func (t tee) Alloc(name string, base, size uint64) {
+	t[0].Alloc(name, base, size)
+	t[1].Alloc(name, base, size)
+}
+
+func (t tee) Access(a core.Access, aop core.AtomicOp, size uint32) {
+	t[0].Access(a, aop, size)
+	t[1].Access(a, aop, size)
+}
+
+func (t tee) Fence(block, warp int, scope core.Scope, cycle uint64, fromBarrier bool) {
+	t[0].Fence(block, warp, scope, cycle, fromBarrier)
+	t[1].Fence(block, warp, scope, cycle, fromBarrier)
+}
+
+func (t tee) Barrier(block int, id uint8, warps int, cycle uint64) {
+	t[0].Barrier(block, id, warps, cycle)
+	t[1].Barrier(block, id, warps, cycle)
+}
+
+// comparisonModels builds fresh instances of the four Table VIII
+// comparison models (every replay target but ScoRD) under cfg.
+func comparisonModels(t testing.TB, cfg config.Config) replay.Sink {
+	t.Helper()
+	var models replay.Sink
+	for _, name := range replay.TargetNames() {
+		if name == "scord" {
+			continue
+		}
+		m, err := replay.TargetByName(name, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, m)
+	}
+	return models
+}
+
+// microConfig is the Table VIII configuration of one micro: full 4-byte
+// metadata, plus the ITS or acquire/release extension it needs.
+func microConfig(m *micro.Micro) config.Config {
+	cfg := config.Default().WithDetector(config.ModeFull4B)
+	cfg.Detector.ITS = m.NeedsITS()
+	cfg.Detector.AcqRel = m.NeedsAcqRel()
+	return cfg
+}
+
 // TestLiveVsReplayCheckers verifies the comparison models (Table VIII)
-// reproduce their live verdicts from a trace: a live device runs with
-// the checkers attached while recording, then fresh checker instances
-// replay the same trace and must accumulate identical records.
+// reproduce their live verdicts from a trace, on every micro and every
+// extension micro: a live device records its trace while the models ride
+// its op stream through replay.Sink, then fresh model instances replay
+// the same trace and must accumulate identical records.
 func TestLiveVsReplayCheckers(t *testing.T) {
-	for _, m := range micro.All()[:8] {
+	for _, m := range append(micro.All(), micro.Extensions()...) {
 		m := m
 		t.Run(m.Name(), func(t *testing.T) {
 			t.Parallel()
-			cfg := config.Default().WithDetector(config.ModeFull4B)
+			cfg := microConfig(m)
 			var buf bytes.Buffer
 			tw, err := tracefile.NewWriter(&buf, tracefile.NewHeader(m.Name(), nil, cfg))
 			if err != nil {
@@ -125,11 +189,8 @@ func TestLiveVsReplayCheckers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d.SetOpSink(tw)
-			liveModels := detectors.All(d.Mem().Words())
-			for _, mod := range liveModels {
-				d.AddChecker(mod)
-			}
+			liveModels := comparisonModels(t, cfg)
+			d.SetOpSink(tee{tw, liveModels})
 			if err := m.Run(d, nil); err != nil {
 				t.Fatalf("live run: %v", err)
 			}
@@ -145,8 +206,8 @@ func TestLiveVsReplayCheckers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, mod := range detectors.All(d.Mem().Words()) {
-				res, err := replay.RunOps(tr.Header(), ops, replay.NewChecker(mod))
+			for i, mod := range comparisonModels(t, tr.Header().Config) {
+				res, err := replay.RunOps(tr.Header(), ops, mod)
 				if err != nil {
 					t.Fatalf("%s: %v", mod.Name(), err)
 				}
@@ -154,6 +215,75 @@ func TestLiveVsReplayCheckers(t *testing.T) {
 					t.Errorf("%s records differ:\nlive:   %v\nreplay: %v",
 						mod.Name(), liveModels[i].Records(), res.Races)
 				}
+			}
+		})
+	}
+}
+
+// observedRun is what a run reports that an observer could perturb.
+type observedRun struct {
+	Stats  stats.Stats
+	Cycles uint64
+	Races  []core.Record
+	SMs    []gpu.SMCounters
+	Phases gpu.PhaseAccounts
+}
+
+// TestObserversDoNotPerturb runs each application and a few micros twice,
+// once bare and once with every observer attached: a trace writer and the
+// comparison models on the op stream, and a telemetry gauge as the probe.
+// The observed run must report exactly what the bare run does, and the
+// gauge must read its final cycle. Replaying a recording in place of a
+// live run (TestTable8ReplayMatchesLive) rests on this.
+func TestObserversDoNotPerturb(t *testing.T) {
+	type job struct {
+		name string
+		run  func(*gpu.Device) error
+	}
+	var jobs []job
+	for i, b := range scor.Apps() {
+		i := i
+		jobs = append(jobs, job{b.Name(), func(d *gpu.Device) error { return scor.Apps()[i].Run(d, nil) }})
+	}
+	few := map[string]bool{"fence.ok.same-barrier": true, "fence.racey.cross-none": true,
+		"lock.racey.none-cross": true, "atom.racey.block-cross": true}
+	for _, m := range micro.All() {
+		m := m
+		if few[m.Name()] {
+			jobs = append(jobs, job{m.Name(), func(d *gpu.Device) error { return m.Run(d, nil) }})
+		}
+	}
+	cfg := config.Default().WithDetector(config.ModeCached)
+	run := func(t *testing.T, j job, observe func(*gpu.Device)) observedRun {
+		d, err := gpu.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		observe(d)
+		if err := j.run(d); err != nil {
+			t.Fatal(err)
+		}
+		return observedRun{*d.Stats(), d.Cycles(), d.Races(), d.SMCountersSnapshot(), d.Phases()}
+	}
+	for _, j := range jobs {
+		j := j
+		t.Run(j.name, func(t *testing.T) {
+			t.Parallel()
+			bare := run(t, j, func(*gpu.Device) {})
+			var gauge obs.JobProgress
+			observed := run(t, j, func(d *gpu.Device) {
+				tw, err := tracefile.NewWriter(io.Discard, tracefile.NewHeader(j.name, nil, cfg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.SetOpSink(tee{tw, comparisonModels(t, cfg)})
+				d.SetProbe(&gauge)
+			})
+			if !reflect.DeepEqual(observed, bare) {
+				t.Errorf("observers changed the run:\nbare:     %+v\nobserved: %+v", bare, observed)
+			}
+			if got := gauge.Cycles.Load(); got != bare.Cycles {
+				t.Errorf("gauge reads cycle %d, run ended at %d", got, bare.Cycles)
 			}
 		})
 	}
@@ -222,13 +352,10 @@ func TestLiveVsReplayScaledArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetOpSink(tw)
+	models := comparisonModels(t, cfg)
+	d.SetOpSink(tee{tw, models})
 	d.Alloc("pad", pad/4)
 	live := map[string][]core.Record{}
-	models := detectors.All(d.Mem().Words())
-	for _, mod := range models {
-		d.AddChecker(mod)
-	}
 	if err := m.Run(d, nil); err != nil {
 		t.Fatalf("live run: %v", err)
 	}

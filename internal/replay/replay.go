@@ -8,13 +8,16 @@
 // one simulation produces a trace, then every detector model and
 // configuration replays it.
 //
-// The engine reproduces the exact call sequence the live device performs
-// per op: for ScoRD, a release atomic's OnAtomicOp precedes CheckAccess
-// (the release fence must be visible to the metadata update) while every
-// other atomic flavour follows it; checkers always observe OnAccess then
-// OnAtomicOp. Device memory is reconstructed from the recorded
-// allocations (the bump allocator is deterministic), so race records
-// resolve to the same allocation names as live reports.
+// Each recorded access reaches a target as one OnAccess call carrying
+// its atomic flavour, and the target orders its own updates: for ScoRD,
+// a release atomic's OnAtomicOp precedes CheckAccess (the release fence
+// must be visible to the metadata update) while every other atomic
+// flavour follows it, exactly as on the live device; the Table VIII
+// comparison models check the access before applying its flavour. Sink
+// feeds the same calls to targets from a live device's op stream. Device
+// memory is reconstructed from the recorded allocations (the bump
+// allocator is deterministic), so race records resolve to the same
+// allocation names as live reports.
 package replay
 
 import (
@@ -30,9 +33,9 @@ import (
 	"scord/internal/tracefile"
 )
 
-// Target is a race-detection model driven by the replay engine. The
-// OnAccess signature differs from core.Checker because one recorded op
-// expands to a model-specific call sequence (see package doc).
+// Target is a race-detection model driven by the replay engine or, live,
+// by Sink. OnAccess takes a whole recorded access, because each model
+// expands it to its own call sequence (see package doc).
 type Target interface {
 	// Name identifies the model in results.
 	Name() string
@@ -45,6 +48,35 @@ type Target interface {
 	// Records returns the model's accumulated race reports.
 	Records() []core.Record
 }
+
+// Sink drives targets live from a device's memory-op stream: it has
+// gpu.OpSink's method set, and attached with gpu.Device.SetOpSink it
+// makes each target exactly the calls a replay of the run's recording
+// makes (Result.apply). Allocations and the kernel-end and barrier
+// markers need no call.
+type Sink []Target
+
+func (s Sink) KernelStart(string, int, int, uint64) {
+	for _, t := range s {
+		t.OnKernelStart()
+	}
+}
+
+func (s Sink) Access(a core.Access, aop core.AtomicOp, _ uint32) {
+	for _, t := range s {
+		t.OnAccess(a, aop)
+	}
+}
+
+func (s Sink) Fence(block, warp int, scope core.Scope, _ uint64, _ bool) {
+	for _, t := range s {
+		t.OnFence(block, warp, scope)
+	}
+}
+
+func (Sink) KernelEnd(string, uint64)        {}
+func (Sink) Alloc(string, uint64, uint64)    {}
+func (Sink) Barrier(int, uint8, int, uint64) {}
 
 // ScoRD is the replay target wrapping the real ScoRD detection logic,
 // constructed exactly as the live device builds it (same word count, same
@@ -123,23 +155,6 @@ func DetectorCounters(s *stats.Stats) stats.Stats {
 	}
 }
 
-// checkerTarget adapts a core.Checker (the Table VIII comparison models)
-// to the replay engine, mirroring the live device's call pattern: every
-// lane access is OnAccess followed by OnAtomicOp.
-type checkerTarget struct{ c core.Checker }
-
-// NewChecker wraps a functional race-detection model as a replay target.
-func NewChecker(c core.Checker) Target { return checkerTarget{c} }
-
-func (t checkerTarget) Name() string   { return t.c.Name() }
-func (t checkerTarget) OnKernelStart() { t.c.OnKernelStart() }
-func (t checkerTarget) OnAccess(a core.Access, aop core.AtomicOp) {
-	t.c.OnAccess(a)
-	t.c.OnAtomicOp(a.Block, a.Warp, aop, a.Addr, a.Scope)
-}
-func (t checkerTarget) OnFence(block, warp int, scope core.Scope) { t.c.OnFence(block, warp, scope) }
-func (t checkerTarget) Records() []core.Record                    { return t.c.Records() }
-
 // targetFactories maps -detector names to constructors. "scord" replays
 // the real detector under the trace's recorded configuration (or the
 // mode the caller overrode into cfg); the rest are the Table VIII
@@ -147,7 +162,7 @@ func (t checkerTarget) Records() []core.Record                    { return t.c.R
 // but size their metadata by cfg's device arena.
 var targetFactories = map[string]func(cfg config.Config) (Target, error){
 	"scord":     func(cfg config.Config) (Target, error) { return NewScoRD(cfg) },
-	"ldetector": func(config.Config) (Target, error) { return NewChecker(detectors.NewLDetector()), nil },
+	"ldetector": func(config.Config) (Target, error) { return detectors.NewLDetector(), nil },
 	"haccrg":    func(cfg config.Config) (Target, error) { return newModel(cfg, detectors.NewHAccRG) },
 	"barracuda": func(cfg config.Config) (Target, error) { return newModel(cfg, detectors.NewBarracuda) },
 	"curd":      func(cfg config.Config) (Target, error) { return newModel(cfg, detectors.NewCURD) },
@@ -155,11 +170,11 @@ var targetFactories = map[string]func(cfg config.Config) (Target, error){
 
 // newModel builds a comparison model for cfg's device arena, sized as
 // NewScoRD sizes the real detector.
-func newModel(cfg config.Config, mk func(words int) core.Checker) (Target, error) {
+func newModel(cfg config.Config, mk func(words int) *detectors.Model) (Target, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
 	}
-	return NewChecker(mk(cfg.DeviceMemBytes / mem.WordBytes)), nil
+	return mk(cfg.DeviceMemBytes / mem.WordBytes), nil
 }
 
 // TargetNames lists the valid TargetByName names, sorted.
@@ -208,15 +223,9 @@ type Result struct {
 }
 
 // DescribeRecord renders a race record with its address resolved against
-// the reconstructed allocation map (mirrors gpu.Device.DescribeRecord).
+// the reconstructed allocation map (core.Describe).
 func (r *Result) DescribeRecord(rec core.Record) string {
-	scope := "device-scope"
-	if rec.SameBlock {
-		scope = "block-scope"
-	}
-	return fmt.Sprintf("%s %s race on %s site=%q prev=(b%d,w%d) cur=(b%d,w%d) x%d",
-		scope, rec.Kind, r.Mem.Describe(mem.Addr(rec.Addr)), rec.Site,
-		rec.PrevBlock, rec.PrevWarp, rec.CurBlock, rec.CurWarp, rec.Count)
+	return core.Describe(rec, func(addr uint64) string { return r.Mem.Describe(mem.Addr(addr)) })
 }
 
 // Run streams every op of r through the target and returns the outcome.

@@ -142,11 +142,6 @@ func Unlock(c *gpu.Ctx, l mem.Addr, fenceScope, exchScope gpu.Scope) {
 	c.AtomicExch(l, 0, exchScope)
 }
 
-// UnlockNoFence releases without the leading fence.
-func UnlockNoFence(c *gpu.Ctx, l mem.Addr, exchScope gpu.Scope) {
-	c.AtomicExch(l, 0, exchScope)
-}
-
 // Signal sets a device-scope flag.
 func Signal(c *gpu.Ctx, f mem.Addr) { c.AtomicExch(f, 1, gpu.ScopeDevice) }
 
