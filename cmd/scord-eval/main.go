@@ -2,12 +2,16 @@
 // VII and VIII, the data series behind Figures 8, 9, 10 and 11, and the
 // design-choice ablations of DESIGN.md.
 //
-// The ~450 device simulations behind the full evaluation are independent,
-// so they run on a bounded worker pool (-jobs, default GOMAXPROCS).
-// Results are collected in job-submission order: rendered tables and CSVs
-// are byte-identical at any -jobs value. Deterministic experiment output
-// goes to stdout; logging and telemetry go to stderr (structured, gated
-// by -v/-quiet) so stdout stays byte-identical across runs.
+// The experiments request 460 device simulations, 253 of them distinct;
+// each distinct one runs once, labelled by the first experiment that
+// needs it, and later experiments reuse its outcome (the "sims" of each
+// "experiment complete" line counts only the new ones). The simulations
+// are independent, so they run on a bounded worker pool (-jobs, default
+// GOMAXPROCS). Each experiment reads its outcomes in the order it asked
+// for them: rendered tables and CSVs are byte-identical at any -jobs
+// value. Deterministic experiment output goes to stdout; logging and
+// telemetry go to stderr (structured, gated by -v/-quiet) so stdout stays
+// byte-identical across runs.
 //
 // Observability: -metrics samples every device's counters in the
 // simulated-cycle domain and writes deterministic CSV/JSON series;
@@ -75,44 +79,23 @@ func cancelOnSignal(logger *slog.Logger) <-chan struct{} {
 	return done
 }
 
-// result is what every experiment produces: a rendered text table, and
-// CSV rows for plotting.
-type result interface {
-	Render() string
-	CSV() [][]string
-}
-
-type experiment struct {
-	name string
-	run  func(harness.Options) (result, error)
-}
-
-var experiments = []experiment{
-	{"table6", func(o harness.Options) (result, error) { return harness.RunTable6(o) }},
-	{"table7", func(o harness.Options) (result, error) { return harness.RunTable7(o) }},
-	{"table8", func(o harness.Options) (result, error) { return harness.RunTable8(o) }},
-	{"fig8", func(o harness.Options) (result, error) { return harness.RunFig8(o) }},
-	{"fig9", func(o harness.Options) (result, error) { return harness.RunFig9(o) }},
-	{"fig10", func(o harness.Options) (result, error) { return harness.RunFig10(o) }},
-	{"fig11", func(o harness.Options) (result, error) { return harness.RunFig11(o) }},
-	{"phases", func(o harness.Options) (result, error) { return harness.RunPhaseProfile(o) }},
-	{"ablation-ratio", func(o harness.Options) (result, error) { return harness.RunAblationCacheRatio(o) }},
-	{"ablation-inbox", func(o harness.Options) (result, error) { return harness.RunAblationInbox(o) }},
-	{"ablation-rate", func(o harness.Options) (result, error) { return harness.RunAblationRate(o) }},
-}
-
 func experimentNames() string {
-	names := make([]string, len(experiments))
-	for i, e := range experiments {
-		names[i] = e.name
+	names := make([]string, len(harness.Experiments))
+	for i, e := range harness.Experiments {
+		names[i] = e.Name
 	}
 	return strings.Join(names, "|")
 }
 
 // obsServerStarted, when non-nil, receives the telemetry server's bound
-// address right before experiments start. Tests use it to scrape the
-// endpoint while a run is in flight.
-var obsServerStarted func(addr string)
+// address right before experiments start, and obsServerClosing, when
+// non-nil, runs after the last experiment, right before the server
+// closes. Tests use them to scrape the endpoint while a run is in flight
+// and to keep it open until the scrape ends.
+var (
+	obsServerStarted func(addr string)
+	obsServerClosing func()
+)
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -164,8 +147,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// not cost a full evaluation pass first.
 	if *only != "" {
 		known := false
-		for _, e := range experiments {
-			if strings.EqualFold(*only, e.name) {
+		for _, e := range harness.Experiments {
+			if strings.EqualFold(*only, e.Name) {
 				known = true
 				break
 			}
@@ -230,7 +213,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			logger.Error("starting telemetry server", "err", err)
 			return 1
 		}
-		defer srv.Close()
+		defer func() {
+			if obsServerClosing != nil {
+				obsServerClosing()
+			}
+			srv.Close()
+		}()
 		logger.Info("telemetry server listening", "addr", srv.Addr(),
 			"endpoints", "/metrics /debug/vars /debug/pprof")
 		if obsServerStarted != nil {
@@ -243,8 +231,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cancel := cancelOnSignal(logger)
-	for _, e := range experiments {
-		if *only != "" && !strings.EqualFold(*only, e.name) {
+	// One outcome map across the experiments: a run one experiment
+	// already simulated is not simulated again for the next.
+	runs := harness.NewRuns()
+	for _, e := range harness.Experiments {
+		if *only != "" && !strings.EqualFold(*only, e.Name) {
 			continue
 		}
 		rep := &harness.Report{}
@@ -254,24 +245,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Cancel: cancel,
 		}
 		start := time.Now()
-		res, err := e.run(opt)
+		res, err := runs.Evaluate(opt, e)
 		if err != nil {
 			if errors.Is(err, harness.ErrCanceled) {
 				// Workers drained; the experiment's table was never
 				// rendered and its CSV never written, and the sampled
 				// metrics are incomplete — write nothing partial.
 				logger.Warn("interrupted; experiment discarded, no partial artifacts written",
-					"experiment", e.name, "err", err)
+					"experiment", e.Name, "err", err)
 				return exitInterrupted
 			}
-			logger.Error("experiment failed", "experiment", e.name, "err", err)
+			logger.Error("experiment failed", "experiment", e.Name, "err", err)
 			return 1
 		}
 		fmt.Fprintln(stdout, res.Render())
 		// Scheduling telemetry: wall-clock only, never on stdout, so
 		// experiment output stays byte-identical across -jobs values.
 		logger.Info("experiment complete",
-			"experiment", e.name,
+			"experiment", e.Name,
 			"sims", len(rep.Jobs()),
 			"workers", rep.Workers(),
 			"wall", time.Since(start).Round(time.Millisecond),
@@ -283,7 +274,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 
 		if *csvDir != "" {
-			path := filepath.Join(*csvDir, e.name+".csv")
+			path := filepath.Join(*csvDir, e.Name+".csv")
 			if err := harness.WriteCSVFile(path, res); err != nil {
 				logger.Error("writing csv", "path", path, "err", err)
 				return 1

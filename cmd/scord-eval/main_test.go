@@ -67,8 +67,9 @@ func httpGet(t *testing.T, url string) (string, error) {
 // answers Prometheus scrapes and pprof requests while simulations are
 // still executing. A poller started from the obsServerStarted hook
 // scrapes /metrics until it observes queued jobs, then hits /debug/vars
-// and /debug/pprof/cmdline — all strictly before run() returns, since the
-// server is torn down when run() exits.
+// and /debug/pprof/cmdline. The obsServerClosing hook holds the server
+// open until the poller is done, so a poller the scheduler starts late
+// still finds it listening rather than torn down by run()'s return.
 func TestObsServesWhileRunInFlight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the table8 micro suite")
@@ -80,8 +81,10 @@ func TestObsServesWhileRunInFlight(t *testing.T) {
 		err     error
 	}
 	got := make(chan scrape, 1)
+	scraped := make(chan struct{})
 	obsServerStarted = func(addr string) {
 		go func() {
+			defer close(scraped)
 			var s scrape
 			base := "http://" + addr
 			jobsSeen := regexp.MustCompile(`(?m)^scord_jobs_total [1-9]`)
@@ -105,7 +108,8 @@ func TestObsServesWhileRunInFlight(t *testing.T) {
 			got <- s
 		}()
 	}
-	defer func() { obsServerStarted = nil }()
+	obsServerClosing = func() { <-scraped }
+	defer func() { obsServerStarted, obsServerClosing = nil, nil }()
 
 	var out, errOut strings.Builder
 	code := run([]string{"-only", "table8", "-jobs", "2", "-obs-addr", "127.0.0.1:0"}, &out, &errOut)

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"scord/internal/config"
-	"scord/internal/gpu"
 	"scord/internal/scor"
 )
 
@@ -13,9 +12,17 @@ import (
 // experiments: the 16:1 software-cache ratio, the detector inbox size, and
 // the detector service rate. Each sweep varies one parameter around the
 // default and reports the consequences the design section argues about.
-// Like the headline experiments, each sweep flattens its simulations into
-// independent jobs for the worker pool; the per-(point, app) cells are
-// assembled sequentially afterwards.
+// Every point normalizes against each app's one no-detection run under the
+// unmodified configuration (plan.go says why the sweep cannot move it).
+
+// slowdown asks for b's ScoRD run under cfg and its no-detection run
+// under the evaluation's configuration, labelled <prefix>/<mode>, and
+// returns the ScoRD outcome and its cycles normalized to the baseline's.
+func (p *plan) slowdown(prefix string, b scor.Benchmark, cfg config.Config) (outcome, float64) {
+	off := p.run(fmt.Sprintf("%s/%v", prefix, config.ModeOff), b, p.cfg.WithDetector(config.ModeOff), false)
+	cached := p.run(fmt.Sprintf("%s/%v", prefix, config.ModeCached), b, cfg, false)
+	return cached, float64(cached.st.Cycles) / float64(off.st.Cycles)
+}
 
 // CacheRatioRow is one point of the metadata-cache-ratio sweep.
 type CacheRatioRow struct {
@@ -38,93 +45,29 @@ type AblationCacheRatio struct {
 // RunAblationCacheRatio measures detection completeness and performance at
 // ratios 4, 8, 16 (default), 32 and 64.
 func RunAblationCacheRatio(opt Options) (*AblationCacheRatio, error) {
-	cfg := opt.cfg()
-	apps := scor.Apps()
-	ratios := []int{4, 8, 16, 32, 64}
+	return evaluate(opt, ablationCacheRatio)
+}
 
-	// Each (ratio, app) cell is filled by three jobs writing disjoint
-	// fields: the injected detection run and the two performance runs.
-	type cell struct {
-		present, caught   int
-		evictions         uint64
-		cycOff, cycCached uint64
-	}
-	cells := make([]cell, len(ratios)*len(apps))
-	var sims []Sim
-	for ri, ratio := range ratios {
-		for ai, b := range apps {
-			ai, ratio := ai, ratio
-			c := &cells[ri*len(apps)+ai]
-			label := fmt.Sprintf("ablation-ratio/%d/%s/detect", ratio, b.Name())
-			sims = append(sims, Sim{
-				Label: label,
-				Run: func() error {
-					b := app(ai)
-					conf := cfg.WithDetector(config.ModeCached)
-					conf.Detector.MetaCacheRatio = ratio
-					d, err := gpu.New(conf)
-					if err != nil {
-						return err
-					}
-					flush := opt.observe(d, label)
-					defer flush()
-					if err := b.Run(d, b.Injections()); err != nil {
-						return fmt.Errorf("%s at ratio %d: %w", b.Name(), ratio, err)
-					}
-					res := scor.MatchRaces(d, b.ExpectedRaces(b.Injections()))
-					c.present = res.Expected
-					c.caught = len(res.Caught)
-					c.evictions = d.Stats().MetaCacheEvicts
-					return nil
-				},
-			})
-			for _, mode := range []config.DetectorMode{config.ModeOff, config.ModeCached} {
-				mode := mode
-				label := fmt.Sprintf("ablation-ratio/%d/%s/%v", ratio, b.Name(), mode)
-				sims = append(sims, Sim{
-					Label: label,
-					Run: func() error {
-						conf := cfg.WithDetector(mode)
-						conf.Detector.MetaCacheRatio = ratio
-						d, err := gpu.New(conf)
-						if err != nil {
-							return err
-						}
-						flush := opt.observe(d, label)
-						defer flush()
-						if err := app(ai).Run(d, nil); err != nil {
-							return err
-						}
-						if mode == config.ModeOff {
-							c.cycOff = d.Stats().Cycles
-						} else {
-							c.cycCached = d.Stats().Cycles
-						}
-						return nil
-					},
-				})
-			}
-		}
-	}
-	if err := runAll(opt, sims); err != nil {
-		return nil, err
-	}
-
+func ablationCacheRatio(p *plan) *AblationCacheRatio {
 	out := &AblationCacheRatio{}
-	for ri, ratio := range ratios {
+	for _, ratio := range []int{4, 8, 16, 32, 64} {
+		cfg := p.cfg.WithDetector(config.ModeCached)
+		cfg.Detector.MetaCacheRatio = ratio
 		row := CacheRatioRow{Ratio: ratio, OverheadPct: 200.0 / float64(ratio)}
 		var norms []float64
-		for ai := range apps {
-			c := cells[ri*len(apps)+ai]
-			row.Present += c.present
-			row.Caught += c.caught
-			row.Evictions += c.evictions
-			norms = append(norms, float64(c.cycCached)/float64(c.cycOff))
+		for _, b := range scor.Apps() {
+			prefix := fmt.Sprintf("ablation-ratio/%d/%s", ratio, b.Name())
+			detect := p.run(prefix+"/detect", b, cfg, true)
+			row.Present += detect.races.Expected
+			row.Caught += len(detect.races.Caught)
+			row.Evictions += detect.st.MetaCacheEvicts
+			_, norm := p.slowdown(prefix, b, cfg)
+			norms = append(norms, norm)
 		}
 		row.Slowdown = geomean(norms)
 		out.Rows = append(out.Rows, row)
 	}
-	return out, nil
+	return out
 }
 
 // Render formats the sweep.
@@ -154,65 +97,24 @@ type AblationInbox struct {
 
 // RunAblationInbox measures slowdown and L1-hit stalls for inbox sizes
 // 1, 4, 12 (default) and 64.
-func RunAblationInbox(opt Options) (*AblationInbox, error) {
-	cfg := opt.cfg()
-	apps := scor.Apps()
-	inboxes := []int{1, 4, 12, 64}
+func RunAblationInbox(opt Options) (*AblationInbox, error) { return evaluate(opt, ablationInbox) }
 
-	type cell struct {
-		cycOff, cycCached, stalls uint64
-	}
-	cells := make([]cell, len(inboxes)*len(apps))
-	var sims []Sim
-	for ii, inbox := range inboxes {
-		for ai, b := range apps {
-			ai, inbox := ai, inbox
-			c := &cells[ii*len(apps)+ai]
-			for _, mode := range []config.DetectorMode{config.ModeOff, config.ModeCached} {
-				mode := mode
-				label := fmt.Sprintf("ablation-inbox/%d/%s/%v", inbox, b.Name(), mode)
-				sims = append(sims, Sim{
-					Label: label,
-					Run: func() error {
-						conf := cfg.WithDetector(mode)
-						conf.Detector.InboxSize = inbox
-						d, err := gpu.New(conf)
-						if err != nil {
-							return err
-						}
-						flush := opt.observe(d, label)
-						defer flush()
-						if err := app(ai).Run(d, nil); err != nil {
-							return err
-						}
-						if mode == config.ModeOff {
-							c.cycOff = d.Stats().Cycles
-						} else {
-							c.cycCached = d.Stats().Cycles
-							c.stalls = d.Stats().DetectorStalls
-						}
-						return nil
-					},
-				})
-			}
-		}
-	}
-	if err := runAll(opt, sims); err != nil {
-		return nil, err
-	}
-
+func ablationInbox(p *plan) *AblationInbox {
 	out := &AblationInbox{}
-	for ii, inbox := range inboxes {
+	for _, inbox := range []int{1, 4, 12, 64} {
+		cfg := p.cfg.WithDetector(config.ModeCached)
+		cfg.Detector.InboxSize = inbox
+		row := InboxRow{Inbox: inbox}
 		var norms []float64
-		var stalls uint64
-		for ai := range apps {
-			c := cells[ii*len(apps)+ai]
-			norms = append(norms, float64(c.cycCached)/float64(c.cycOff))
-			stalls += c.stalls
+		for _, b := range scor.Apps() {
+			cached, norm := p.slowdown(fmt.Sprintf("ablation-inbox/%d/%s", inbox, b.Name()), b, cfg)
+			norms = append(norms, norm)
+			row.Stalls += cached.st.DetectorStalls
 		}
-		out.Rows = append(out.Rows, InboxRow{Inbox: inbox, Slowdown: geomean(norms), Stalls: stalls})
+		row.Slowdown = geomean(norms)
+		out.Rows = append(out.Rows, row)
 	}
-	return out, nil
+	return out
 }
 
 // Render formats the sweep.
@@ -240,60 +142,21 @@ type AblationRate struct {
 
 // RunAblationRate measures slowdown at service rates 1, 2, 4 (default), 8
 // and 16 checks per cycle.
-func RunAblationRate(opt Options) (*AblationRate, error) {
-	cfg := opt.cfg()
-	apps := scor.Apps()
-	rates := []int{1, 2, 4, 8, 16}
+func RunAblationRate(opt Options) (*AblationRate, error) { return evaluate(opt, ablationRate) }
 
-	type cell struct{ cycOff, cycCached uint64 }
-	cells := make([]cell, len(rates)*len(apps))
-	var sims []Sim
-	for ri, rate := range rates {
-		for ai, b := range apps {
-			ai, rate := ai, rate
-			c := &cells[ri*len(apps)+ai]
-			for _, mode := range []config.DetectorMode{config.ModeOff, config.ModeCached} {
-				mode := mode
-				label := fmt.Sprintf("ablation-rate/%d/%s/%v", rate, b.Name(), mode)
-				sims = append(sims, Sim{
-					Label: label,
-					Run: func() error {
-						conf := cfg.WithDetector(mode)
-						conf.Detector.ChecksPerCycle = rate
-						d, err := gpu.New(conf)
-						if err != nil {
-							return err
-						}
-						flush := opt.observe(d, label)
-						defer flush()
-						if err := app(ai).Run(d, nil); err != nil {
-							return err
-						}
-						if mode == config.ModeOff {
-							c.cycOff = d.Stats().Cycles
-						} else {
-							c.cycCached = d.Stats().Cycles
-						}
-						return nil
-					},
-				})
-			}
-		}
-	}
-	if err := runAll(opt, sims); err != nil {
-		return nil, err
-	}
-
+func ablationRate(p *plan) *AblationRate {
 	out := &AblationRate{}
-	for ri, rate := range rates {
+	for _, rate := range []int{1, 2, 4, 8, 16} {
+		cfg := p.cfg.WithDetector(config.ModeCached)
+		cfg.Detector.ChecksPerCycle = rate
 		var norms []float64
-		for ai := range apps {
-			c := cells[ri*len(apps)+ai]
-			norms = append(norms, float64(c.cycCached)/float64(c.cycOff))
+		for _, b := range scor.Apps() {
+			_, norm := p.slowdown(fmt.Sprintf("ablation-rate/%d/%s", rate, b.Name()), b, cfg)
+			norms = append(norms, norm)
 		}
 		out.Rows = append(out.Rows, RateRow{Rate: rate, Slowdown: geomean(norms)})
 	}
-	return out, nil
+	return out
 }
 
 // Render formats the sweep.

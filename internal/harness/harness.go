@@ -7,10 +7,11 @@
 // Absolute cycle counts belong to this repository's simulator, not
 // GPGPU-Sim; the quantities of interest are the normalized shapes.
 //
-// Every experiment declares its device simulations as a flat list of
-// independent jobs executed by the bounded worker pool in runner.go;
-// results are collected in job-submission order, so output is identical
-// at any worker count.
+// Every experiment asks a run plan (plan.go) for the outcomes of the
+// device simulations it needs. Each distinct simulation runs once, on the
+// bounded worker pool in runner.go, and an experiment reads the outcomes
+// back in the order it asked for them, so output is identical at any
+// worker count.
 package harness
 
 import (
@@ -22,7 +23,6 @@ import (
 	"scord/internal/obs"
 	"scord/internal/scor"
 	"scord/internal/scor/micro"
-	"scord/internal/stats"
 )
 
 // DefaultSampleEvery is the metric-sampling interval, in simulated cycles,
@@ -114,26 +114,6 @@ func (o Options) cfg() config.Config {
 	return config.Default()
 }
 
-// runApp executes one benchmark under the given detector mode and returns
-// the device (for stats and race records). label identifies the job to the
-// observers configured in opt.
-func runApp(opt Options, cfg config.Config, label string, b scor.Benchmark, mode config.DetectorMode, active []string) (*gpu.Device, error) {
-	d, err := gpu.New(cfg.WithDetector(mode))
-	if err != nil {
-		return nil, err
-	}
-	flush := opt.observe(d, label)
-	defer flush()
-	if err := b.Run(d, active); err != nil {
-		return nil, fmt.Errorf("%s [%v/%v]: %w", b.Name(), mode, active, err)
-	}
-	return d, nil
-}
-
-// app returns a fresh instance of the i-th suite application. Jobs build
-// their own benchmark instances so concurrent workers never share one.
-func app(i int) scor.Benchmark { return scor.Apps()[i] }
-
 // ---------------------------------------------------------------------------
 // Table VI — races caught by the base design and by ScoRD.
 // ---------------------------------------------------------------------------
@@ -154,67 +134,29 @@ type Table6 struct {
 
 // RunTable6 runs every application with all injections active and all 18
 // racey microbenchmarks, under both metadata designs.
-func RunTable6(opt Options) (*Table6, error) {
-	cfg := opt.cfg()
-	apps := scor.Apps()
-	var racey []int
-	for i, m := range micro.All() {
-		if m.Racey() {
-			racey = append(racey, i)
-		}
-	}
+func RunTable6(opt Options) (*Table6, error) { return evaluate(opt, table6) }
 
-	type cell struct{ present, caught int }
-	modes := []config.DetectorMode{config.ModeFull4B, config.ModeCached}
-	cells := make([]cell, (len(apps)+len(racey))*len(modes))
-	var sims []Sim
-	slot := 0
-	addPair := func(name string, fresh func() scor.Benchmark) {
-		for _, mode := range modes {
-			i, mode := slot, mode
-			slot++
-			label := fmt.Sprintf("table6/%s/%v", name, mode)
-			sims = append(sims, Sim{
-				Label: label,
-				Run: func() error {
-					b := fresh()
-					d, err := runApp(opt, cfg, label, b, mode, b.Injections())
-					if err != nil {
-						return err
-					}
-					res := scor.MatchRaces(d, b.ExpectedRaces(b.Injections()))
-					cells[i] = cell{res.Expected, len(res.Caught)}
-					return nil
-				},
-			})
+func table6(p *plan) *Table6 {
+	row := func(b scor.Benchmark) Table6Row {
+		caught := func(mode config.DetectorMode) scor.MatchResult {
+			label := fmt.Sprintf("table6/%s/%v", b.Name(), mode)
+			return p.run(label, b, p.cfg.WithDetector(mode), true).races
 		}
+		full, cached := caught(config.ModeFull4B), caught(config.ModeCached)
+		return Table6Row{b.Name(), full.Expected, len(full.Caught), len(cached.Caught)}
 	}
-	for ai, b := range apps {
-		ai := ai
-		addPair(b.Name(), func() scor.Benchmark { return app(ai) })
-	}
-	for _, mi := range racey {
-		mi := mi
-		addPair(micro.All()[mi].Name(), func() scor.Benchmark { return micro.All()[mi] })
-	}
-	if err := runAll(opt, sims); err != nil {
-		return nil, err
-	}
-
 	out := &Table6{}
-	k := 0
-	for _, b := range apps {
-		full, cached := cells[k], cells[k+1]
-		k += 2
-		out.Rows = append(out.Rows, Table6Row{b.Name(), full.present, full.caught, cached.caught})
+	for _, b := range scor.Apps() {
+		out.Rows = append(out.Rows, row(b))
 	}
 	mrow := Table6Row{Workload: "Microbenchmarks"}
-	for range racey {
-		full, cached := cells[k], cells[k+1]
-		k += 2
-		mrow.Present += full.present
-		mrow.Base += full.caught
-		mrow.ScoRD += cached.caught
+	for _, m := range micro.All() {
+		if m.Racey() {
+			r := row(m)
+			mrow.Present += r.Present
+			mrow.Base += r.Base
+			mrow.ScoRD += r.ScoRD
+		}
 	}
 	out.Rows = append(out.Rows, mrow)
 	for _, r := range out.Rows {
@@ -223,7 +165,7 @@ func RunTable6(opt Options) (*Table6, error) {
 		out.Total.ScoRD += r.ScoRD
 	}
 	out.Total.Workload = "Total"
-	return out, nil
+	return out
 }
 
 // Render formats the table like the paper's Table VI.
@@ -254,52 +196,29 @@ type Table7 struct {
 
 // RunTable7 runs every application correctly synchronized under each
 // tracking granularity and counts distinct false-positive reports.
-func RunTable7(opt Options) (*Table7, error) {
-	cfg := opt.cfg()
-	apps := scor.Apps()
-	modes := []config.DetectorMode{
-		config.ModeFull4B, config.ModeGran8B, config.ModeGran16B, config.ModeCached,
-	}
-	fps := make([]int, len(apps)*len(modes))
-	var sims []Sim
-	for ai, b := range apps {
-		for mi, mode := range modes {
-			ai, mode := ai, mode
-			i := ai*len(modes) + mi
-			label := fmt.Sprintf("table7/%s/%v", b.Name(), mode)
-			sims = append(sims, Sim{
-				Label: label,
-				Run: func() error {
-					d, err := runApp(opt, cfg, label, app(ai), mode, nil)
-					if err != nil {
-						return err
-					}
-					// Count false reports (occurrences): the number of times
-					// the detector would have interrupted a clean program.
-					// Coarser granularity aliases more accesses into shared
-					// entries, so this grows with granularity as in the paper.
-					fp := 0
-					for _, r := range scor.MatchRaces(d, nil).FalsePos {
-						fp += r.Count
-					}
-					fps[i] = fp
-					return nil
-				},
-			})
-		}
-	}
-	if err := runAll(opt, sims); err != nil {
-		return nil, err
-	}
+func RunTable7(opt Options) (*Table7, error) { return evaluate(opt, table7) }
 
+func table7(p *plan) *Table7 {
 	out := &Table7{}
-	for ai, b := range apps {
-		f := fps[ai*len(modes):]
+	for _, b := range scor.Apps() {
+		var fps [4]int
+		for mi, mode := range []config.DetectorMode{
+			config.ModeFull4B, config.ModeGran8B, config.ModeGran16B, config.ModeCached,
+		} {
+			label := fmt.Sprintf("table7/%s/%v", b.Name(), mode)
+			// Count false reports (occurrences): the number of times the
+			// detector would have interrupted a clean program. Coarser
+			// granularity aliases more accesses into shared entries, so
+			// this grows with granularity as in the paper.
+			for _, r := range p.run(label, b, p.cfg.WithDetector(mode), false).races.FalsePos {
+				fps[mi] += r.Count
+			}
+		}
 		out.Rows = append(out.Rows, Table7Row{
-			Workload: b.Name(), FP4B: f[0], FP8B: f[1], FP16B: f[2], ScoRD: f[3],
+			Workload: b.Name(), FP4B: fps[0], FP8B: fps[1], FP16B: fps[2], ScoRD: fps[3],
 		})
 	}
-	return out, nil
+	return out
 }
 
 // Render formats the table like the paper's Table VII.
@@ -334,42 +253,30 @@ type Fig8 struct {
 
 // RunFig8 measures execution cycles for every application under no
 // detection, the base design, and ScoRD.
-func RunFig8(opt Options) (*Fig8, error) {
-	cfg := opt.cfg()
-	apps := scor.Apps()
-	modes := []config.DetectorMode{config.ModeOff, config.ModeFull4B, config.ModeCached}
-	cyc := make([]uint64, len(apps)*len(modes))
-	var sims []Sim
-	for ai, b := range apps {
-		for mi, mode := range modes {
-			ai, mode := ai, mode
-			i := ai*len(modes) + mi
-			label := fmt.Sprintf("fig8/%s/%v", b.Name(), mode)
-			sims = append(sims, Sim{
-				Label: label,
-				Run: func() error {
-					d, err := runApp(opt, cfg, label, app(ai), mode, nil)
-					if err != nil {
-						return err
-					}
-					cyc[i] = d.Stats().Cycles
-					return nil
-				},
-			})
-		}
-	}
-	if err := runAll(opt, sims); err != nil {
-		return nil, err
-	}
+func RunFig8(opt Options) (*Fig8, error) { return evaluate(opt, fig8) }
 
+// fig8Modes are the three designs Figures 8 and 9 compare, baseline first.
+var fig8Modes = [3]config.DetectorMode{config.ModeOff, config.ModeFull4B, config.ModeCached}
+
+// designs returns b's outcomes under fig8Modes, asked for under the
+// experiment's labels.
+func (p *plan) designs(exp string, b scor.Benchmark) (o [3]outcome) {
+	for mi, mode := range fig8Modes {
+		o[mi] = p.run(fmt.Sprintf("%s/%s/%v", exp, b.Name(), mode), b, p.cfg.WithDetector(mode), false)
+	}
+	return o
+}
+
+func fig8(p *plan) *Fig8 {
 	out := &Fig8{}
 	var base, scord []float64
-	for ai, b := range apps {
-		c := cyc[ai*len(modes):]
+	for _, b := range scor.Apps() {
+		o := p.designs("fig8", b)
+		off := float64(o[0].st.Cycles)
 		r := Fig8Row{
 			App:       b.Name(),
-			BaseNorm:  float64(c[1]) / float64(c[0]),
-			ScoRDNorm: float64(c[2]) / float64(c[0]),
+			BaseNorm:  float64(o[1].st.Cycles) / off,
+			ScoRDNorm: float64(o[2].st.Cycles) / off,
 		}
 		out.Rows = append(out.Rows, r)
 		base = append(base, r.BaseNorm)
@@ -377,7 +284,7 @@ func RunFig8(opt Options) (*Fig8, error) {
 	}
 	out.GeoBase = geomean(base)
 	out.GeoScoRD = geomean(scord)
-	return out, nil
+	return out
 }
 
 // Render formats the series behind Figure 8.
@@ -409,47 +316,22 @@ type Fig9 struct {
 }
 
 // RunFig9 measures DRAM transactions under each design.
-func RunFig9(opt Options) (*Fig9, error) {
-	cfg := opt.cfg()
-	apps := scor.Apps()
-	modes := []config.DetectorMode{config.ModeOff, config.ModeFull4B, config.ModeCached}
-	st := make([]*stats.Stats, len(apps)*len(modes))
-	var sims []Sim
-	for ai, b := range apps {
-		for mi, mode := range modes {
-			ai, mode := ai, mode
-			i := ai*len(modes) + mi
-			label := fmt.Sprintf("fig9/%s/%v", b.Name(), mode)
-			sims = append(sims, Sim{
-				Label: label,
-				Run: func() error {
-					d, err := runApp(opt, cfg, label, app(ai), mode, nil)
-					if err != nil {
-						return err
-					}
-					st[i] = d.Stats()
-					return nil
-				},
-			})
-		}
-	}
-	if err := runAll(opt, sims); err != nil {
-		return nil, err
-	}
+func RunFig9(opt Options) (*Fig9, error) { return evaluate(opt, fig9) }
 
+func fig9(p *plan) *Fig9 {
 	out := &Fig9{}
-	for ai, b := range apps {
-		s := st[ai*len(modes):]
-		norm := float64(s[0].DRAMAccesses())
+	for _, b := range scor.Apps() {
+		o := p.designs("fig9", b)
+		norm := float64(o[0].st.DRAMAccesses())
 		out.Rows = append(out.Rows, Fig9Row{
 			App:       b.Name(),
-			BaseData:  float64(s[1].DRAMDataAccesses) / norm,
-			BaseMeta:  float64(s[1].DRAMMetaAccesses) / norm,
-			ScoRDData: float64(s[2].DRAMDataAccesses) / norm,
-			ScoRDMeta: float64(s[2].DRAMMetaAccesses) / norm,
+			BaseData:  float64(o[1].st.DRAMDataAccesses) / norm,
+			BaseMeta:  float64(o[1].st.DRAMMetaAccesses) / norm,
+			ScoRDData: float64(o[2].st.DRAMDataAccesses) / norm,
+			ScoRDMeta: float64(o[2].st.DRAMMetaAccesses) / norm,
 		})
 	}
-	return out, nil
+	return out
 }
 
 // Render formats the series behind Figure 9.
@@ -485,54 +367,26 @@ type Fig10 struct {
 
 // RunFig10 disables each timing source in turn and attributes ScoRD's
 // overhead to the three mechanisms by the uplift each removal produces.
-func RunFig10(opt Options) (*Fig10, error) {
-	cfg := opt.cfg()
-	apps := scor.Apps()
+func RunFig10(opt Options) (*Fig10, error) { return evaluate(opt, fig10) }
+
+func fig10(p *plan) *Fig10 {
 	variants := []struct {
 		name string
 		mut  func(*config.Detector)
 	}{
-		{"full", nil},
+		{"full", func(*config.Detector) {}},
 		{"no-lhd", func(dc *config.Detector) { dc.DisableLHDTiming = true }},
 		{"no-noc", func(dc *config.Detector) { dc.DisableNOCTiming = true }},
 		{"no-md", func(dc *config.Detector) { dc.DisableMDTiming = true }},
 	}
-	cyc := make([]uint64, len(apps)*len(variants))
-	var sims []Sim
-	for ai, b := range apps {
-		for vi, v := range variants {
-			ai, v := ai, v
-			i := ai*len(variants) + vi
-			label := fmt.Sprintf("fig10/%s/%s", b.Name(), v.name)
-			sims = append(sims, Sim{
-				Label: label,
-				Run: func() error {
-					c := cfg.WithDetector(config.ModeCached)
-					if v.mut != nil {
-						v.mut(&c.Detector)
-					}
-					d, err := gpu.New(c)
-					if err != nil {
-						return err
-					}
-					flush := opt.observe(d, label)
-					defer flush()
-					if err := app(ai).Run(d, nil); err != nil {
-						return err
-					}
-					cyc[i] = d.Stats().Cycles
-					return nil
-				},
-			})
-		}
-	}
-	if err := runAll(opt, sims); err != nil {
-		return nil, err
-	}
-
 	out := &Fig10{}
-	for ai, b := range apps {
-		c := cyc[ai*len(variants):]
+	for _, b := range scor.Apps() {
+		var c [4]uint64
+		for vi, v := range variants {
+			cfg := p.cfg.WithDetector(config.ModeCached)
+			v.mut(&cfg.Detector)
+			c[vi] = p.run(fmt.Sprintf("fig10/%s/%s", b.Name(), v.name), b, cfg, false).st.Cycles
+		}
 		full := c[0]
 		up := func(t uint64) float64 {
 			if full > t {
@@ -557,7 +411,7 @@ func RunFig10(opt Options) (*Fig10, error) {
 	out.AvgLHD /= n
 	out.AvgNOC /= n
 	out.AvgMD /= n
-	return out, nil
+	return out
 }
 
 // Render formats the series behind Figure 10.
@@ -588,62 +442,36 @@ type Fig11 struct {
 	Rows []Fig11Row
 }
 
-// RunFig11 sweeps the three memory-subsystem presets.
-func RunFig11(opt Options) (*Fig11, error) {
-	apps := scor.Apps()
+// RunFig11 sweeps the three memory-subsystem presets. Each preset sets
+// only the L2 capacity, the L2 banks and the DRAM channels of the
+// evaluation's configuration, so all three columns share its seed.
+func RunFig11(opt Options) (*Fig11, error) { return evaluate(opt, fig11) }
+
+func fig11(p *plan) *Fig11 {
 	presets := []struct {
 		name string
-		cfg  config.Config
+		mem  config.Config
 	}{
 		{"low", config.LowMemory()},
-		{"default", opt.cfg()},
+		{"default", p.cfg},
 		{"high", config.HighMemory()},
 	}
-	modes := []config.DetectorMode{config.ModeOff, config.ModeCached}
-	cyc := make([]uint64, len(apps)*len(presets)*len(modes))
-	var sims []Sim
-	for ai, b := range apps {
-		for pi, p := range presets {
-			for mi, mode := range modes {
-				ai, p, mode := ai, p, mode
-				i := (ai*len(presets)+pi)*len(modes) + mi
-				label := fmt.Sprintf("fig11/%s/%s/%v", b.Name(), p.name, mode)
-				sims = append(sims, Sim{
-					Label: label,
-					Run: func() error {
-						d, err := runApp(opt, p.cfg, label, app(ai), mode, nil)
-						if err != nil {
-							return err
-						}
-						cyc[i] = d.Stats().Cycles
-						return nil
-					},
-				})
-			}
-		}
-	}
-	if err := runAll(opt, sims); err != nil {
-		return nil, err
-	}
-
 	out := &Fig11{}
-	for ai, b := range apps {
-		row := Fig11Row{App: b.Name()}
-		for pi := range presets {
-			c := cyc[(ai*len(presets)+pi)*len(modes):]
-			norm := float64(c[1]) / float64(c[0])
-			switch pi {
-			case 0:
-				row.Low = norm
-			case 1:
-				row.Default = norm
-			case 2:
-				row.High = norm
+	for _, b := range scor.Apps() {
+		var norm [3]float64
+		for pi, pr := range presets {
+			cfg := p.cfg
+			cfg.L2Size, cfg.L2Banks, cfg.MemChannels = pr.mem.L2Size, pr.mem.L2Banks, pr.mem.MemChannels
+			var cyc [2]float64
+			for mi, mode := range []config.DetectorMode{config.ModeOff, config.ModeCached} {
+				label := fmt.Sprintf("fig11/%s/%s/%v", b.Name(), pr.name, mode)
+				cyc[mi] = float64(p.run(label, b, cfg.WithDetector(mode), false).st.Cycles)
 			}
+			norm[pi] = cyc[1] / cyc[0]
 		}
-		out.Rows = append(out.Rows, row)
+		out.Rows = append(out.Rows, Fig11Row{App: b.Name(), Low: norm[0], Default: norm[1], High: norm[2]})
 	}
-	return out, nil
+	return out
 }
 
 // Render formats the series behind Figure 11.

@@ -26,33 +26,16 @@ type PhaseProfile struct {
 
 // RunPhaseProfile profiles every suite application (correctly
 // synchronized, detector on) and returns where each one's charged cycles
-// go. Jobs fill order-indexed slots, so output is identical at any
-// worker count.
-func RunPhaseProfile(opt Options) (*PhaseProfile, error) {
-	cfg := opt.cfg()
-	apps := scor.Apps()
-	rows := make([]PhaseRow, len(apps))
-	var sims []Sim
-	for ai, b := range apps {
-		ai := ai
-		label := "phases/" + b.Name()
-		sims = append(sims, Sim{
-			Label: label,
-			Run: func() error {
-				b := app(ai)
-				d, err := runApp(opt, cfg, label, b, config.ModeCached, nil)
-				if err != nil {
-					return err
-				}
-				rows[ai] = PhaseRow{App: b.Name(), Cycles: d.Cycles(), Phases: d.Phases()}
-				return nil
-			},
-		})
+// go.
+func RunPhaseProfile(opt Options) (*PhaseProfile, error) { return evaluate(opt, phaseProfile) }
+
+func phaseProfile(p *plan) *PhaseProfile {
+	out := &PhaseProfile{}
+	for _, b := range scor.Apps() {
+		o := p.run("phases/"+b.Name(), b, p.cfg.WithDetector(config.ModeCached), false)
+		out.Rows = append(out.Rows, PhaseRow{App: b.Name(), Cycles: o.cycles, Phases: o.phases})
 	}
-	if err := runAll(opt, sims); err != nil {
-		return nil, err
-	}
-	return &PhaseProfile{Rows: rows}, nil
+	return out
 }
 
 // Render formats the breakdown as one matrix: a share column per phase

@@ -10,16 +10,17 @@ import (
 	"time"
 )
 
-// The ~450 device simulations behind the paper's tables and figures are
-// embarrassingly parallel: every (benchmark × detector mode × config
-// mutation) pair builds its own gpu.Device and draws from instance-local
-// RNGs, so nothing is shared between jobs. Each experiment therefore
-// declares its simulations as a flat []Sim, a bounded worker pool executes
-// them, and every job writes its result into an order-indexed slot — the
-// assembly pass then reads the slots in submission order, making rendered
-// tables and CSVs byte-identical to a sequential run regardless of worker
-// interleaving. Each simulation engine itself stays single-threaded;
-// parallelism exists only across device instances.
+// The 253 distinct device simulations behind the paper's tables and
+// figures (460 requested; see plan.go) are embarrassingly parallel: every
+// (benchmark × configuration × injections) run builds its own gpu.Device
+// and draws from instance-local RNGs, so nothing is shared between jobs.
+// The run plan and the suites therefore hand their simulations over as a
+// flat []Sim, a bounded worker pool executes them, and every job writes
+// its result into an order-indexed slot — the assembly pass then reads
+// the slots in submission order, making rendered tables and CSVs
+// byte-identical to a sequential run regardless of worker interleaving.
+// Each simulation engine itself stays single-threaded; parallelism exists
+// only across device instances.
 
 // Sim is one independent device simulation job.
 type Sim struct {
@@ -27,7 +28,7 @@ type Sim struct {
 	// e.g. "fig8/MM/scord".
 	Label string
 	// Run builds the device (and its own benchmark instance), executes the
-	// simulation, and stores the result into the slot the experiment
+	// simulation, and stores the result into the slot its caller
 	// reserved for this job. It must not touch state shared with other
 	// jobs.
 	Run func() error

@@ -6,7 +6,6 @@ import (
 
 	"scord/internal/config"
 	"scord/internal/core"
-	"scord/internal/gpu"
 	"scord/internal/mem"
 	"scord/internal/scor"
 	"scord/internal/scor/micro"
@@ -122,51 +121,16 @@ func assembleTable8(micros []*micro.Micro, verdicts []map[string]t8verdict) *Tab
 
 // RunTable8 runs every microbenchmark once with the four comparison models
 // riding the device's op stream (replay.Sink) and ScoRD as the real
-// detector, then scores each detector per race class. Each
-// microbenchmark is one independent job (its own device, its own model
-// instances); the matrix is aggregated sequentially from the per-micro
-// verdicts.
-func RunTable8(opt Options) (*Table8, error) {
-	cfg := opt.cfg()
+// detector, then scores each detector per race class.
+func RunTable8(opt Options) (*Table8, error) { return evaluate(opt, table8) }
+
+func table8(p *plan) *Table8 {
 	micros := micro.All()
 	verdicts := make([]map[string]t8verdict, len(micros))
-	var sims []Sim
 	for mi, m := range micros {
-		mi := mi
-		label := "table8/" + m.Name()
-		sims = append(sims, Sim{
-			Label: label,
-			Run: func() error {
-				m := micro.All()[mi]
-				d, err := gpu.New(cfg.WithDetector(config.ModeFull4B))
-				if err != nil {
-					return err
-				}
-				flush := opt.observe(d, label)
-				defer flush()
-				models, err := comparisonModels(d.Config())
-				if err != nil {
-					return err
-				}
-				d.SetOpSink(models)
-				if err := m.Run(d, nil); err != nil {
-					return fmt.Errorf("micro %s: %w", m.Name(), err)
-				}
-				specs := m.ExpectedRaces(nil)
-				v := make(map[string]t8verdict, len(models)+1)
-				for _, mod := range models {
-					v[mod.Name()] = scoreRecords(d.Mem(), mod.Records(), specs)
-				}
-				v["ScoRD"] = scoreRecords(d.Mem(), d.Races(), specs)
-				verdicts[mi] = v
-				return nil
-			},
-		})
+		verdicts[mi] = p.run("table8/"+m.Name(), m, p.cfg.WithDetector(config.ModeFull4B), false).t8
 	}
-	if err := runAll(opt, sims); err != nil {
-		return nil, err
-	}
-	return assembleTable8(micros, verdicts), nil
+	return assembleTable8(micros, verdicts)
 }
 
 // Render formats the matrix like the paper's Table VIII.
