@@ -407,7 +407,7 @@ func runPredict(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *confirm {
-		observed, err := observedTuples(h, ops)
+		observed, err := predict.Observe(h, ops, nil)
 		if err != nil {
 			fmt.Fprintln(stderr, "scord-replay predict:", err)
 			return 1
@@ -430,20 +430,6 @@ func runPredict(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-// observedTuples replays the recorded schedule through the real detector
-// and collects its (alloc, kind) race tuples.
-func observedTuples(h tracefile.Header, ops []tracefile.Op) (map[predict.Tuple]bool, error) {
-	sc, err := replay.NewScoRD(h.Config)
-	if err != nil {
-		return nil, err
-	}
-	res, err := replay.RunOps(h, ops, sc)
-	if err != nil {
-		return nil, err
-	}
-	return predict.TuplesOf(res.Races, res.Mem), nil
 }
 
 func runTable8(args []string, stdout, stderr io.Writer) int {

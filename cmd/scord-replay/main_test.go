@@ -225,6 +225,30 @@ func TestRepairSubcommand(t *testing.T) {
 	}
 }
 
+// TestRepairFenceGolden records the racey fence micro and repairs it
+// with -json, comparing byte-for-byte against the checked-in golden (the
+// same diff the CI repair smoke step performs). The golden pins the
+// target's {"alloc", "kind"} encoding.
+func TestRepairFenceGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.sctr")
+	var out, errOut strings.Builder
+	if code := run([]string{"record", "-bench", "fence.racey.cross-none", "-o", path}, &out, &errOut); code != 0 {
+		t.Fatalf("record: exit code = %d, stderr:\n%s", code, errOut.String())
+	}
+	out.Reset()
+	errOut.Reset()
+	if code := run([]string{"repair", "-json", path}, &out, &errOut); code != 0 {
+		t.Fatalf("repair -json: exit code = %d, stderr:\n%s", code, errOut.String())
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "repair_fence.golden"))
+	if err != nil {
+		t.Fatalf("reading golden: %v", err)
+	}
+	if out.String() != string(golden) {
+		t.Errorf("repair -json output differs from testdata/repair_fence.golden:\n--- got ---\n%s--- want ---\n%s", out.String(), golden)
+	}
+}
+
 // TestExplainSubcommand records the racey fence micro and explains the
 // trace's race verdicts with full provenance, comparing byte-for-byte
 // against the checked-in golden (the same diff the CI smoke performs).

@@ -26,6 +26,7 @@ package explore
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"scord/internal/analysis/predict"
@@ -70,7 +71,7 @@ type Options struct {
 	// order (sequentially, before replay). perm maps schedule position to
 	// original op index and must not be retained. A non-nil error aborts
 	// the exploration. Test hook.
-	OnSchedule func(idx int, perm []int) error
+	OnSchedule func(idx int, perm []int32) error
 }
 
 // Finding is one distinct (alloc, kind) race tuple some explored
@@ -151,7 +152,7 @@ type tupleHit struct {
 }
 
 type schedOut struct {
-	perm []int
+	perm []int32
 	hits []tupleHit
 	err  error
 }
@@ -221,10 +222,7 @@ func Explore(h tracefile.Header, ops []tracefile.Op, opt Options) (*Verdict, err
 		defer close(replyQ)
 		defer close(jobCh)
 		stats, err := generate(m, gopt, func(idx int, path []int32) (bool, error) {
-			perm := make([]int, len(path))
-			for i, p := range path {
-				perm[i] = int(p)
-			}
+			perm := slices.Clone(path) // the generator reuses path; workers replay later
 			if opt.OnSchedule != nil {
 				if err := opt.OnSchedule(idx, perm); err != nil {
 					return true, err
@@ -267,39 +265,32 @@ func Explore(h tracefile.Header, ops []tracefile.Op, opt Options) (*Verdict, err
 	// explorer's tuple set is a superset of PerturbTarget confirmation no
 	// matter how tight the DFS budget was.
 	for _, p := range opt.Seeds {
-		if found[predict.Tuple{Alloc: p.Alloc, Kind: p.Record.Kind}] {
+		if found[p.Tuple()] {
 			continue
 		}
-		pops, _, _, ok := replay.PerturbTarget(ops, p.Witness.Prev, p.Witness.Cur)
+		perm, _, _, ok := replay.PerturbTarget(ops, p.Witness.Prev, p.Witness.Cur)
 		if !ok {
 			continue
 		}
-		out := replayScheduleOps(hh, pops)
+		out := replaySchedule(hh, ops, perm)
 		if out.err != nil {
 			return nil, fmt.Errorf("explore: seed schedule for %s/%s: %w", p.Alloc, p.Record.Kind, out.err)
 		}
 		sIdx := v.Explored + v.Seeded
 		v.Seeded++
-		out.perm = nil // schedule ops are pops, not a perm of ops
-		addFindingsOps(v, hh, pops, found, sIdx, out.hits, true)
+		addFindings(v, hh, ops, found, sIdx, out, true)
 	}
 
-	sort.Slice(v.Races, func(i, j int) bool {
-		a, b := v.Races[i], v.Races[j]
-		if a.Alloc != b.Alloc {
-			return a.Alloc < b.Alloc
-		}
-		return a.Kind < b.Kind
-	})
+	sort.Slice(v.Races, func(i, j int) bool { return v.Races[i].Tuple().Less(v.Races[j].Tuple()) })
 	return v, nil
 }
 
 type schedJob struct {
-	perm  []int
+	perm  []int32
 	reply chan schedOut
 }
 
-func replaySchedule(h tracefile.Header, ops []tracefile.Op, perm []int) schedOut {
+func replaySchedule(h tracefile.Header, ops []tracefile.Op, perm []int32) schedOut {
 	sc, err := replay.NewScoRD(h.Config)
 	if err != nil {
 		return schedOut{perm: perm, err: err}
@@ -309,18 +300,6 @@ func replaySchedule(h tracefile.Header, ops []tracefile.Op, perm []int) schedOut
 		return schedOut{perm: perm, err: err}
 	}
 	return schedOut{perm: perm, hits: locateRaces(res)}
-}
-
-func replayScheduleOps(h tracefile.Header, sops []tracefile.Op) schedOut {
-	sc, err := replay.NewScoRD(h.Config)
-	if err != nil {
-		return schedOut{err: err}
-	}
-	res, err := replay.RunOps(h, sops, sc)
-	if err != nil {
-		return schedOut{err: err}
-	}
-	return schedOut{hits: locateRaces(res)}
 }
 
 func locateRaces(res *replay.Result) []tupleHit {
@@ -335,52 +314,39 @@ func locateRaces(res *replay.Result) []tupleHit {
 	return hits
 }
 
-// addFindings registers the new tuples of one DFS schedule, building the
-// schedule's op sequence only when it exposes one. A schedule in the
-// recorded order, as schedule 0 is, is analysed in place.
+// addFindings registers the new tuples of one schedule, a DFS or a seed
+// schedule. The schedule's op sequence is built, and analysed, at most
+// once and only when it exposes a new tuple; a schedule in the recorded
+// order, as schedule 0 is, is analysed in place.
 func addFindings(v *Verdict, h tracefile.Header, ops []tracefile.Op, found map[predict.Tuple]bool, idx int, out schedOut, seeded bool) {
-	for _, hit := range out.hits {
-		if found[predict.Tuple{Alloc: hit.alloc, Kind: hit.rec.Kind}] {
-			continue
-		}
-		sops := ops
-		if !isIdentity(out.perm) {
-			sops = make([]tracefile.Op, len(out.perm))
-			for i, p := range out.perm {
-				sops[i] = ops[p]
-			}
-		}
-		addFindingsOps(v, h, sops, found, idx, out.hits, seeded)
-		return
-	}
-}
-
-// isIdentity reports whether perm keeps every op in place.
-func isIdentity(perm []int) bool {
-	for i, p := range perm {
-		if p != i {
-			return false
-		}
-	}
-	return true
-}
-
-// addFindingsOps is addFindings for schedules already materialized as ops.
-// The schedule is analysed at most once, however many tuples it exposes.
-func addFindingsOps(v *Verdict, h tracefile.Header, sops []tracefile.Op, found map[predict.Tuple]bool, idx int, hits []tupleHit, seeded bool) {
+	var sops []tracefile.Op
 	var pres *predict.Result
 	var perr error
-	for _, hit := range hits {
+	for _, hit := range out.hits {
 		t := predict.Tuple{Alloc: hit.alloc, Kind: hit.rec.Kind}
 		if found[t] {
 			continue
 		}
 		found[t] = true
 		if pres == nil && perr == nil {
+			sops = ops
+			if !isIdentity(out.perm) {
+				sops = replay.Schedule(ops, out.perm)
+			}
 			pres, perr = predict.Run(h, sops, predict.Options{})
 		}
 		v.Races = append(v.Races, newFinding(h, sops, pres, perr, hit, idx, seeded))
 	}
+}
+
+// isIdentity reports whether perm keeps every op in place.
+func isIdentity(perm []int32) bool {
+	for i, p := range perm {
+		if int(p) != i {
+			return false
+		}
+	}
+	return true
 }
 
 // newFinding derives and checks the predictive witness for one tuple on

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"scord/internal/analysis/explore"
@@ -67,9 +68,9 @@ func recordMicroOps(t *testing.T, name string) (tracefile.Header, []tracefile.Op
 // schedule, not on the recorded order.
 func TestMaskedRaceExplored(t *testing.T) {
 	h, ops := explore.MaskedRaceExample()
-	perms := map[int][]int{}
-	v, err := explore.Explore(h, ops, explore.Options{Jobs: 4, OnSchedule: func(idx int, perm []int) error {
-		perms[idx] = perm
+	perms := map[int][]int32{}
+	v, err := explore.Explore(h, ops, explore.Options{Jobs: 4, OnSchedule: func(idx int, perm []int32) error {
+		perms[idx] = slices.Clone(perm)
 		return nil
 	}})
 	if err != nil {
@@ -97,11 +98,7 @@ func TestMaskedRaceExplored(t *testing.T) {
 	if !f.WitnessOK {
 		t.Errorf("witness failed verification: %s", f.WitnessErr)
 	}
-	sched := make([]tracefile.Op, len(ops))
-	for i, p := range perms[f.Schedule] {
-		sched[i] = ops[p]
-	}
-	pres, err := predict.Run(h, sched, predict.Options{})
+	pres, err := predict.Run(h, replay.Schedule(ops, perms[f.Schedule]), predict.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +198,9 @@ func TestExploreSchedulesAreLegal(t *testing.T) {
 	_, err := explore.Explore(h, ops, explore.Options{
 		MaxSchedules: 48,
 		Jobs:         2,
-		OnSchedule: func(idx int, perm []int) error {
-			sched := make([]tracefile.Op, len(perm))
-			for i, p := range perm {
-				sched[i] = ops[p]
-			}
+		OnSchedule: func(idx int, perm []int32) error {
 			checked++
-			return replay.CheckSchedule(ops, sched)
+			return replay.CheckSchedule(ops, replay.Schedule(ops, perm))
 		},
 	})
 	if err != nil {

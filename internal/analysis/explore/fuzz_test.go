@@ -105,12 +105,8 @@ func FuzzExplore(f *testing.F) {
 			Jobs:         1,
 			MaxOps:       1 << 16,
 			MaxMemBytes:  1 << 24,
-			OnSchedule: func(idx int, perm []int) error {
-				sched := make([]tracefile.Op, len(perm))
-				for i, p := range perm {
-					sched[i] = ops[p]
-				}
-				return replay.CheckSchedule(ops, sched)
+			OnSchedule: func(idx int, perm []int32) error {
+				return replay.CheckSchedule(ops, replay.Schedule(ops, perm))
 			},
 		}
 		v, err := explore.Explore(h, ops, opt)

@@ -3,8 +3,6 @@ package explore
 import (
 	"scord/internal/analysis/predict"
 	"scord/internal/config"
-	"scord/internal/mem"
-	"scord/internal/replay"
 	"scord/internal/tracefile"
 )
 
@@ -62,28 +60,12 @@ func (s *Searcher) SearchTuple(h tracefile.Header, ops []tracefile.Op, p predict
 	}
 	found := false
 	_, err = generate(m, gopt, func(idx int, path []int32) (bool, error) {
-		perm := make([]int, len(path))
-		for i, q := range path {
-			perm[i] = int(q)
-		}
-		sc, err := replay.NewScoRD(hh.Config)
+		got, err := predict.Observe(hh, ops, path)
 		if err != nil {
 			return true, err
 		}
-		res, err := replay.RunOpsPermuted(hh, ops, perm, sc)
-		if err != nil {
-			return true, err
-		}
-		for _, rec := range res.Races {
-			if rec.Kind != p.Record.Kind {
-				continue
-			}
-			if al, ok := res.Mem.Locate(mem.Addr(rec.Addr)); ok && al.Name == p.Alloc {
-				found = true
-				return true, nil
-			}
-		}
-		return false, nil
+		found = got[p.Tuple()]
+		return found, nil
 	})
 	if err != nil {
 		return false, err

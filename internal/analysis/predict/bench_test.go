@@ -52,6 +52,37 @@ func TestPredictRunAllocs(t *testing.T) {
 	}
 }
 
+// TestConfirmAllocs gates one Confirm on the recorded GCOL trace at 8
+// bytes per op. Its witness schedule is a permutation of the trace, 4
+// bytes per op, replayed in place; a copy of the trace to swap in cost
+// 80 bytes per op.
+func TestConfirmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("records a whole app")
+	}
+	h, ops := gcolOps(t)
+	res, err := predict.Run(h, ops, predict.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Predictions) == 0 {
+		t.Fatal("no prediction on GCOL to confirm")
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = predict.Confirm(h, ops, res.Predictions[0], nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytesPerOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(ops))
+	t.Logf("%d ops: %.1f bytes per op", len(ops), bytesPerOp)
+	if bytesPerOp > 8 {
+		t.Errorf("predict.Confirm allocated %.1f bytes per op; want at most 8", bytesPerOp)
+	}
+}
+
 var benchResult *predict.Result
 
 // BenchmarkPredictRun analyzes a recorded GCOL trace, as `scord-replay

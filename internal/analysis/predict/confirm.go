@@ -1,7 +1,6 @@
 package predict
 
 import (
-	"scord/internal/mem"
 	"scord/internal/replay"
 	"scord/internal/tracefile"
 )
@@ -82,30 +81,42 @@ func ConfirmWith(h tracefile.Header, ops []tracefile.Op, p Prediction, observed 
 // schedule (may be nil). If the tuple was not observed, the witness pair
 // is driven adjacent by replay.PerturbTarget — a legality-preserving
 // reordering, so any race it exposes is reachable — and the perturbed
-// schedule is replayed through the real ScoRD model.
+// schedule is replayed through the real ScoRD model (Observe).
 func Confirm(h tracefile.Header, ops []tracefile.Op, p Prediction, observed map[Tuple]bool) (Confirmation, error) {
-	if observed[Tuple{Alloc: p.Alloc, Kind: p.Record.Kind}] {
+	if observed[p.Tuple()] {
 		return ConfirmedObserved, nil
 	}
-	pops, _, _, _ := replay.PerturbTarget(ops, p.Witness.Prev, p.Witness.Cur)
-	if pops == nil {
+	perm, _, _, _ := replay.PerturbTarget(ops, p.Witness.Prev, p.Witness.Cur)
+	if perm == nil {
 		return Unconfirmed, nil
 	}
-	sc, err := replay.NewScoRD(h.Config)
+	got, err := Observe(h, ops, perm)
 	if err != nil {
 		return Unconfirmed, err
 	}
-	res, err := replay.RunOps(h, pops, sc)
-	if err != nil {
-		return Unconfirmed, err
-	}
-	for _, rec := range res.Races {
-		if rec.Kind != p.Record.Kind {
-			continue
-		}
-		if al, ok := res.Mem.Locate(mem.Addr(rec.Addr)); ok && al.Name == p.Alloc {
-			return ConfirmedPerturbed, nil
-		}
+	if got[p.Tuple()] {
+		return ConfirmedPerturbed, nil
 	}
 	return Unconfirmed, nil
+}
+
+// Observe is the dynamic oracle: it replays ops through a fresh ScoRD
+// model under h's configuration, in the order perm gives (nil: the
+// recorded order; see replay.RunOpsPermuted), and returns the tuples of
+// the races the model reports (TuplesOf).
+func Observe(h tracefile.Header, ops []tracefile.Op, perm []int32) (map[Tuple]bool, error) {
+	sc, err := replay.NewScoRD(h.Config)
+	if err != nil {
+		return nil, err
+	}
+	var res *replay.Result
+	if perm == nil {
+		res, err = replay.RunOps(h, ops, sc)
+	} else {
+		res, err = replay.RunOpsPermuted(h, ops, perm, sc)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return TuplesOf(res.Races, res.Mem), nil
 }

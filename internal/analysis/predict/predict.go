@@ -694,32 +694,45 @@ func (a *analysis) finish() *Result {
 }
 
 // Tuple is a race at the granularity the gates compare: which
-// allocation, which Table IV kind.
+// allocation, which Table IV kind. The predict gate, the explorer and
+// repair (whose targets are tuples) all compare races by it.
 type Tuple struct {
-	Alloc string
-	Kind  core.RaceKind
+	Alloc string        `json:"alloc"`
+	Kind  core.RaceKind `json:"kind"`
 }
 
 func (t Tuple) String() string { return fmt.Sprintf("%s/%s", t.Alloc, t.Kind) }
+
+// Less orders tuples by allocation, then kind.
+func (t Tuple) Less(u Tuple) bool {
+	if t.Alloc != u.Alloc {
+		return t.Alloc < u.Alloc
+	}
+	return t.Kind < u.Kind
+}
+
+// SortedTuples lists a tuple set in Less order, so every report and
+// worklist built from a set is independent of map iteration order.
+func SortedTuples(set map[Tuple]bool) []Tuple {
+	out := make([]Tuple, 0, len(set))
+	for t := range set {
+		out = append(out, t)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	return out
+}
+
+// Tuple is the prediction's (allocation, kind) tuple.
+func (p Prediction) Tuple() Tuple { return Tuple{Alloc: p.Alloc, Kind: p.Record.Kind} }
 
 // Tuples returns the deduplicated (allocation, kind) set of the
 // predictions, sorted.
 func (r *Result) Tuples() []Tuple {
 	set := make(map[Tuple]bool)
 	for _, p := range r.Predictions {
-		set[Tuple{Alloc: p.Alloc, Kind: p.Record.Kind}] = true
+		set[p.Tuple()] = true
 	}
-	out := make([]Tuple, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Alloc != out[j].Alloc {
-			return out[i].Alloc < out[j].Alloc
-		}
-		return out[i].Kind < out[j].Kind
-	})
-	return out
+	return SortedTuples(set)
 }
 
 // TuplesOf collects the (allocation, kind) tuples of race records,

@@ -9,22 +9,13 @@ import (
 	"scord/internal/tracefile"
 )
 
-// Target is one confirmed race to repair: the (allocation, kind) tuple
-// both the dynamic detector and the predictive analysis report races by.
-type Target struct {
-	Alloc string        `json:"alloc"`
-	Kind  core.RaceKind `json:"kind"`
-}
-
-func (t Target) String() string { return t.Alloc + "/" + t.Kind.String() }
-
 // Candidates enumerates the candidate edits for a target in increasing
 // cost order (the fix vocabulary's lattice). ops is the current trace
 // and pred the predictive result over it; the barrier candidate needs a
 // witness to site the insertion. An empty return means the target's
 // kind is not repairable by any edit in the vocabulary (diverged-warp
 // races need a re-convergence restructuring no local edit expresses).
-func Candidates(t Target, ops []tracefile.Op, pred *predict.Result) []Edit {
+func Candidates(t predict.Tuple, ops []tracefile.Op, pred *predict.Result) []Edit {
 	switch t.Kind {
 	case core.RaceScopedAtomic:
 		return []Edit{{Kind: fix.PromoteScope, Alloc: t.Alloc}}
@@ -59,7 +50,7 @@ func Candidates(t Target, ops []tracefile.Op, pred *predict.Result) []Edit {
 // of sites its block executes from that access onward (within the
 // witness's kernel segment). Site-anchored placement keeps the edit
 // meaningful on every schedule, not just the recorded interleaving.
-func barrierCandidate(t Target, ops []tracefile.Op, pred *predict.Result) (Edit, bool) {
+func barrierCandidate(t predict.Tuple, ops []tracefile.Op, pred *predict.Result) (Edit, bool) {
 	if pred == nil {
 		return Edit{}, false
 	}

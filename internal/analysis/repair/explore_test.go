@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"scord/internal/analysis/explore"
+	"scord/internal/analysis/predict"
 	"scord/internal/analysis/repair"
 	"scord/internal/core"
 )
@@ -17,7 +18,7 @@ import (
 // longer invisible).
 func TestRepairSearcherWidensWorklist(t *testing.T) {
 	h, ops := explore.MaskedRaceExample()
-	target := repair.Target{Alloc: "m.data", Kind: core.RaceMissingLockStore}
+	target := predict.Tuple{Alloc: "m.data", Kind: core.RaceMissingLockStore}
 
 	legacy := &repair.Repairer{Bench: h.Benchmark, Header: h, Ops: ops}
 	rep, err := legacy.RepairAll()

@@ -24,7 +24,6 @@ package repair
 
 import (
 	"fmt"
-	"sort"
 
 	"scord/internal/analysis/fix"
 	"scord/internal/analysis/predict"
@@ -55,15 +54,15 @@ type Repairer struct {
 	// nil preserves the legacy greedy behavior exactly.
 	Searcher predict.Searcher
 
-	sibBase map[string]map[Target]bool
+	sibBase map[string]map[predict.Tuple]bool
 }
 
 // Outcome records the repair attempt for one target.
 type Outcome struct {
-	Target   Target    `json:"target"`
-	Repaired bool      `json:"repaired"`
-	Fix      *fix.Fix  `json:"fix,omitempty"`
-	Evidence *Evidence `json:"evidence,omitempty"`
+	Target   predict.Tuple `json:"target"`
+	Repaired bool          `json:"repaired"`
+	Fix      *fix.Fix      `json:"fix,omitempty"`
+	Evidence *Evidence     `json:"evidence,omitempty"`
 	// Reason explains an unrepaired target; Rejected lists the vetoed
 	// cheaper candidates (for a repaired target, the ones below the
 	// accepted fix in the cost order).
@@ -78,7 +77,7 @@ type Report struct {
 	// FullyRepaired: no confirmed race remains on the final trace.
 	FullyRepaired bool `json:"fully_repaired"`
 	// Residual lists the confirmed races still standing.
-	Residual []Target `json:"residual,omitempty"`
+	Residual []predict.Tuple `json:"residual,omitempty"`
 	// OpsTouched and OpsInserted sum the accepted fixes' overhead.
 	OpsTouched  int `json:"ops_touched"`
 	OpsInserted int `json:"ops_inserted"`
@@ -87,18 +86,20 @@ type Report struct {
 // confirmedTargets is the repair worklist: every tuple the detector
 // observes on the current schedule, plus every prediction confirmed by a
 // perturbed witness schedule. Predictions falling outside any recorded
-// allocation cannot anchor an edit and are excluded.
-func (r *Repairer) confirmedTargets(st *state) ([]Target, error) {
-	set := map[Target]bool{}
+// allocation cannot anchor an edit and are excluded; an observed race
+// there stays on the list, under the empty allocation name, and so ends
+// as residual.
+func (r *Repairer) confirmedTargets(st *state) ([]predict.Tuple, error) {
+	set := map[predict.Tuple]bool{}
 	for t := range st.dyn {
 		set[t] = true
 	}
 	for _, p := range st.pred.Predictions {
-		t := Target{Alloc: p.Alloc, Kind: p.Record.Kind}
+		t := p.Tuple()
 		if p.Alloc == "" || set[t] {
 			continue
 		}
-		conf, err := predict.ConfirmWith(r.Header, r.Ops, p, st.observed, predict.ConfirmOptions{Searcher: r.Searcher})
+		conf, err := predict.ConfirmWith(r.Header, r.Ops, p, st.dyn, predict.ConfirmOptions{Searcher: r.Searcher})
 		if err != nil {
 			return nil, err
 		}
@@ -106,24 +107,7 @@ func (r *Repairer) confirmedTargets(st *state) ([]Target, error) {
 			set[t] = true
 		}
 	}
-	return sortedTargets(set), nil
-}
-
-// sortedTargets lists a target set in (Alloc, Kind) order, so the
-// worklist and every veto reason that names a target are independent of
-// map iteration order.
-func sortedTargets(set map[Target]bool) []Target {
-	out := make([]Target, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Alloc != out[j].Alloc {
-			return out[i].Alloc < out[j].Alloc
-		}
-		return out[i].Kind < out[j].Kind
-	})
-	return out
+	return predict.SortedTuples(set), nil
 }
 
 // maxIterations bounds the repair loop far above any real worklist
@@ -138,7 +122,7 @@ func (r *Repairer) RepairAll() (*Report, error) {
 	if err := r.initSiblingBase(); err != nil {
 		return nil, err
 	}
-	failed := map[Target]bool{}
+	failed := map[predict.Tuple]bool{}
 	for iter := 0; iter < maxIterations; iter++ {
 		st, err := r.computeState()
 		if err != nil {
@@ -148,7 +132,7 @@ func (r *Repairer) RepairAll() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		next, found := Target{}, false
+		next, found := predict.Tuple{}, false
 		for _, t := range targets {
 			if !failed[t] {
 				next, found = t, true
@@ -193,9 +177,9 @@ func (r *Repairer) initSiblingBase() error {
 	if r.sibBase != nil {
 		return nil
 	}
-	r.sibBase = map[string]map[Target]bool{}
+	r.sibBase = map[string]map[predict.Tuple]bool{}
 	for _, sib := range r.Siblings {
-		dyn, err := dynamicTuples(sib.Header, sib.Ops)
+		dyn, err := predict.Observe(sib.Header, sib.Ops, nil)
 		if err != nil {
 			return fmt.Errorf("sibling %s: %w", sib.Label, err)
 		}

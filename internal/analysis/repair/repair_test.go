@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"scord/internal/analysis/fix"
+	"scord/internal/analysis/predict"
 	"scord/internal/config"
 	"scord/internal/core"
 	"scord/internal/gpu"
@@ -94,7 +95,7 @@ func assertRepaired(t *testing.T, r *Repairer, rep *Report) {
 			t.Errorf("repair for %s claims zero-cost edit", o.Target)
 		}
 	}
-	dyn, err := dynamicTuples(r.Header, r.Ops)
+	dyn, err := predict.Observe(r.Header, r.Ops, nil)
 	if err != nil {
 		t.Fatalf("final replay: %v", err)
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"scord/internal/analysis/predict"
-	"scord/internal/mem"
-	"scord/internal/replay"
 	"scord/internal/tracefile"
 )
 
@@ -35,63 +33,33 @@ type Evidence struct {
 	OpsInserted int `json:"ops_inserted"`
 }
 
-// dynamicTuples replays ops through the real detector and returns the
-// reported (allocation, kind) tuples.
-func dynamicTuples(h tracefile.Header, ops []tracefile.Op) (map[Target]bool, error) {
-	sc, err := replay.NewScoRD(h.Config)
-	if err != nil {
-		return nil, err
-	}
-	res, err := replay.RunOps(h, ops, sc)
-	if err != nil {
-		return nil, err
-	}
-	out := map[Target]bool{}
-	for _, rec := range res.Races {
-		if al, ok := res.Mem.Locate(mem.Addr(rec.Addr)); ok {
-			out[Target{Alloc: al.Name, Kind: rec.Kind}] = true
-		}
-	}
-	return out, nil
-}
-
-func toObserved(dyn map[Target]bool) map[predict.Tuple]bool {
-	out := make(map[predict.Tuple]bool, len(dyn))
-	for t := range dyn {
-		out[predict.Tuple{Alloc: t.Alloc, Kind: t.Kind}] = true
-	}
-	return out
-}
-
 // state is the per-iteration snapshot of the current trace's races: what
 // the detector observes and what the predictor predicts.
 type state struct {
-	dyn        map[Target]bool
-	observed   map[predict.Tuple]bool
+	dyn        map[predict.Tuple]bool
 	pred       *predict.Result
-	predTuples map[Target]bool
+	predTuples map[predict.Tuple]bool
 }
 
 func (r *Repairer) computeState() (*state, error) {
 	st := &state{}
 	var err error
-	if st.dyn, err = dynamicTuples(r.Header, r.Ops); err != nil {
+	if st.dyn, err = predict.Observe(r.Header, r.Ops, nil); err != nil {
 		return nil, err
 	}
-	st.observed = toObserved(st.dyn)
 	if st.pred, err = predict.Run(r.Header, r.Ops, predict.Options{}); err != nil {
 		return nil, err
 	}
-	st.predTuples = map[Target]bool{}
+	st.predTuples = map[predict.Tuple]bool{}
 	for _, t := range st.pred.Tuples() {
-		st.predTuples[Target{Alloc: t.Alloc, Kind: t.Kind}] = true
+		st.predTuples[t] = true
 	}
 	return st, nil
 }
 
 // verify runs a candidate through every oracle. ok reports acceptance;
 // on rejection, reason says which oracle vetoed and why.
-func (r *Repairer) verify(st *state, target Target, e Edit) (pops []tracefile.Op, ev Evidence, ok bool, reason string) {
+func (r *Repairer) verify(st *state, target predict.Tuple, e Edit) (pops []tracefile.Op, ev Evidence, ok bool, reason string) {
 	pops, stats, err := ApplyTrace(e, r.Ops)
 	if err != nil {
 		return nil, ev, false, err.Error()
@@ -100,14 +68,14 @@ func (r *Repairer) verify(st *state, target Target, e Edit) (pops []tracefile.Op
 
 	// Oracle 1 — dynamic replay: the patched recorded schedule must drop
 	// the target and introduce nothing.
-	pdyn, err := dynamicTuples(r.Header, pops)
+	pdyn, err := predict.Observe(r.Header, pops, nil)
 	if err != nil {
 		return nil, ev, false, fmt.Sprintf("replay failed: %v", err)
 	}
 	if pdyn[target] {
 		return nil, ev, false, "replay still reports the target race"
 	}
-	for _, t := range sortedTargets(pdyn) {
+	for _, t := range predict.SortedTuples(pdyn) {
 		if !st.dyn[t] {
 			return nil, ev, false, fmt.Sprintf("replay reports new race %s", t)
 		}
@@ -121,17 +89,16 @@ func (r *Repairer) verify(st *state, target Target, e Edit) (pops []tracefile.Op
 	if err != nil {
 		return nil, ev, false, fmt.Sprintf("predictive analysis failed: %v", err)
 	}
-	pobserved := toObserved(pdyn)
 	ev.PredictKilled = true
 	for _, p := range pr.Predictions {
-		t := Target{Alloc: p.Alloc, Kind: p.Record.Kind}
+		t := p.Tuple()
 		if t == target {
 			ev.PredictKilled = false
 		}
 		if t != target && st.predTuples[t] {
 			continue // pre-existing prediction, unrelated to this repair
 		}
-		conf, err := predict.ConfirmWith(r.Header, pops, p, pobserved, predict.ConfirmOptions{Searcher: r.Searcher})
+		conf, err := predict.ConfirmWith(r.Header, pops, p, pdyn, predict.ConfirmOptions{Searcher: r.Searcher})
 		if err != nil {
 			return nil, ev, false, fmt.Sprintf("witness confirmation failed: %v", err)
 		}
@@ -151,12 +118,12 @@ func (r *Repairer) verify(st *state, target Target, e Edit) (pops []tracefile.Op
 		if serr != nil {
 			continue // edit matches nothing there: trace unchanged
 		}
-		sdyn, err := dynamicTuples(sib.Header, sops)
+		sdyn, err := predict.Observe(sib.Header, sops, nil)
 		if err != nil {
 			return nil, ev, false, fmt.Sprintf("sibling %s replay failed: %v", sib.Label, err)
 		}
 		base := r.sibBase[sib.Label]
-		for _, t := range sortedTargets(sdyn) {
+		for _, t := range predict.SortedTuples(sdyn) {
 			if !base[t] {
 				return nil, ev, false, fmt.Sprintf("sibling %s gains race %s", sib.Label, t)
 			}

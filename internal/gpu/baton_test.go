@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"scord/internal/config"
 	"scord/internal/mem"
@@ -88,6 +89,63 @@ func TestLaunchCycleLimit(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Fatalf("err = %v, want the cycle limit", err)
 	}
+}
+
+// TestFailedLaunchEndsWarps: a failed launch leaves no warp goroutine
+// behind, whether a warp panicked, in the first wave of blocks or in a
+// later one that a warp goroutine dispatched, or the cycle budget ran
+// out. Before stopWarps, each of the five launches that fault once every
+// warp started left its 15 other warps parked. The deadlock exit shares the cleanup (simulate
+// runs it however the drain ends) but no kernel reaches it: a barrier
+// that an exited warp will never reach is released.
+func TestFailedLaunchEndsWarps(t *testing.T) {
+	base := runtime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines over the baseline of %d", what, runtime.NumGoroutine()-base, base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	fault := func(blocks, tpb, block, warp int, later bool) {
+		d := newDev(t, config.Default())
+		x := d.Alloc("x", 64)
+		r := launchRecover(d, blocks, tpb, func(c *Ctx) {
+			faulty := c.Block == block && c.Warp == warp
+			if faulty && later {
+				c.Load(x)
+			}
+			if faulty {
+				c.AtLane(99)
+			}
+			c.Store(x+mem.Addr(c.Warp*4), 1)
+			c.Load(x)
+		})
+		if _, ok := r.(*WarpPanic); !ok {
+			t.Fatalf("recovered %T %v, want *WarpPanic", r, r)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		fault(4, 128, 2, 1, true)
+	}
+	settled("five panics once every warp started")
+	fault(4, 128, 2, 1, false)
+	fault(200, 32, 190, 0, false)
+	fault(200, 32, 190, 0, true)
+	settled("panics before the first request and in a later wave")
+	d := newDev(t, config.Default())
+	err := d.Launch("spin", 2, 64, func(c *Ctx) {
+		for {
+			c.Work(1 << 30)
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "exceeded") {
+		t.Fatalf("err = %v, want the cycle limit", err)
+	}
+	settled("cycle limit")
 }
 
 // launchRecover launches k and returns what a recover around Launch sees.

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"runtime"
 
 	"scord/internal/core"
 	"scord/internal/engine"
@@ -81,6 +82,8 @@ type Ctx struct {
 	resumeEvent engine.Event
 	spawner     *Ctx // who startWarp's hand-back goes to (nil: Launch's goroutine)
 	started     bool // the first request has been handed back to spawner
+	slot        int  // index in Device.warps while the goroutine lives
+	stop        bool // the launch failed: the woken goroutine exits (stopWarps)
 
 	// Scratch buffers reused across vector ops to avoid per-op allocation.
 	// Scalar ops use the dedicated one-element arrays so that a scalar
@@ -123,7 +126,8 @@ func (c *Ctx) Converge() { c.diverged = false; c.lane = 0 }
 // --- baton hand-off -------------------------------------------------------
 
 // yield hands the prepared request to the simulator and returns once the
-// simulator resumes the warp; an exiting warp's goroutine ends instead.
+// simulator resumes the warp; an exiting warp's goroutine ends instead,
+// and so does one woken by a failed launch's stopWarps.
 //
 // The warp schedules its request's service, then runs the event loop
 // itself until an event resumes a warp. If that is this warp, it returns
@@ -145,10 +149,15 @@ func (c *Ctx) yield() {
 		c.started = true
 		next = c.spawner
 	}
-	exiting := c.req.kind == reqExit
+	if c.req.kind == reqExit {
+		d.forget(c)
+		d.pass(next)
+		return
+	}
 	d.pass(next)
-	if !exiting {
-		d.wait(c)
+	d.wait(c)
+	if c.stop {
+		runtime.Goexit()
 	}
 }
 
@@ -165,6 +174,7 @@ func (d *Device) startWarp(bs *blockState, warp int) {
 		Warps:    d.warpsPerBlock,
 		wake:     make(chan struct{}),
 		spawner:  d.holder,
+		slot:     len(d.warps),
 	}
 	c.serveEvent = func() { d.service(c) }
 	c.resumeEvent = func() {
@@ -172,10 +182,14 @@ func (d *Device) startWarp(bs *blockState, warp int) {
 		d.eng.Pause()
 	}
 	d.liveWarps++
+	d.warps = append(d.warps, c)
 	active := d.active
 	d.holder, d.active = c, c
 	go c.run()
 	d.wait(c.spawner)
+	if c.spawner != nil && c.spawner.stop {
+		runtime.Goexit()
+	}
 	d.active = active
 }
 
@@ -187,6 +201,7 @@ func (c *Ctx) run() {
 	defer func() {
 		if r := recover(); r != nil {
 			d.failure = d.blame(r)
+			d.forget(c)
 			d.pass(nil)
 		}
 	}()

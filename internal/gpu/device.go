@@ -67,6 +67,7 @@ type Device struct {
 	pending       []int // block ids awaiting an SM slot
 	blocks        map[int]*blockState
 	liveWarps     int
+	warps         []*Ctx // the launch's warps whose goroutines live
 
 	// Baton hand-off state. holder is the goroutine running the event
 	// loop (a warp's, or Launch's when nil); active is the warp whose
@@ -363,14 +364,17 @@ func (d *Device) Launch(name string, blocks, threadsPerBlock int, k Kernel) erro
 // simulate dispatches the launch's first blocks and drains its event
 // queue, passing the baton between goroutines until the drain is over. It
 // reports false when the launch's budget stopped the drain, which leaves
-// events queued.
+// events queued. However the drain ends, no warp goroutine outlives it
+// (stopWarps).
 func (d *Device) simulate() bool {
 	d.holder, d.active = nil, nil
 	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(*WarpPanic); !ok && d.active != nil {
-				r = d.blame(r)
-			}
+		r := recover()
+		if _, ok := r.(*WarpPanic); r != nil && !ok && d.active != nil {
+			r = d.blame(r)
+		}
+		d.stopWarps()
+		if r != nil {
 			panic(r)
 		}
 	}()
@@ -415,6 +419,31 @@ func (d *Device) wait(c *Ctx) {
 		d.failure = nil
 		panic(f)
 	}
+}
+
+// forget drops warp c from the launch's list before its goroutine ends.
+// The caller holds the baton.
+func (d *Device) forget(c *Ctx) {
+	n := len(d.warps) - 1
+	last := d.warps[n]
+	last.slot = c.slot
+	d.warps[c.slot] = last
+	d.warps[n] = nil
+	d.warps = d.warps[:n]
+}
+
+// stopWarps ends the goroutine of every warp the launch left parked, as
+// a panic, a deadlock or the cycle budget does; a launch that completes
+// leaves none. It runs on the goroutine holding the baton, with every
+// other goroutine of the launch parked: each wakes, sees its stop flag
+// and exits.
+func (d *Device) stopWarps() {
+	for _, c := range d.warps {
+		c.stop = true
+		c.wake <- struct{}{}
+	}
+	clear(d.warps)
+	d.warps = d.warps[:0]
 }
 
 // WarpPanic is the value Launch panics with when kernel code, or simulator

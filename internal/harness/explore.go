@@ -3,12 +3,10 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"scord/internal/analysis/explore"
 	"scord/internal/analysis/predict"
-	"scord/internal/replay"
 	"scord/internal/tracefile"
 )
 
@@ -141,15 +139,10 @@ func exploreTrace(h tracefile.Header, ops []tracefile.Op, maxSchedules int) (Exp
 
 	// Oracle sets: dynamic tuples on the recorded schedule, and
 	// greedy-confirmable predictions.
-	sc, err := replay.NewScoRD(h.Config)
+	observed, err := predict.Observe(h, ops, nil)
 	if err != nil {
 		return row, err
 	}
-	res, err := replay.RunOps(h, ops, sc)
-	if err != nil {
-		return row, err
-	}
-	observed := predict.TuplesOf(res.Races, res.Mem)
 	pres, err := predict.Run(h, ops, predict.Options{})
 	if err != nil {
 		return row, err
@@ -161,7 +154,7 @@ func exploreTrace(h tracefile.Header, ops []tracefile.Op, maxSchedules int) (Exp
 			return row, err
 		}
 		if conf != predict.Unconfirmed {
-			greedy[predict.Tuple{Alloc: p.Alloc, Kind: p.Record.Kind}] = true
+			greedy[p.Tuple()] = true
 		}
 	}
 	row.Dynamic = len(observed)
@@ -193,34 +186,17 @@ func exploreTrace(h tracefile.Header, ops []tracefile.Op, maxSchedules int) (Exp
 			row.MissedPredicted = append(row.MissedPredicted, t.String())
 		}
 	}
-	for _, t := range sortedTuples(observed) {
+	for _, t := range predict.SortedTuples(observed) {
 		if !covered[t] {
 			row.MissedDynamic = append(row.MissedDynamic, t.String())
 		}
 	}
-	for _, t := range sortedTuples(greedy) {
+	for _, t := range predict.SortedTuples(greedy) {
 		if !covered[t] {
 			row.MissedGreedy = append(row.MissedGreedy, t.String())
 		}
 	}
 	return row, nil
-}
-
-// sortedTuples orders a tuple set deterministically.
-func sortedTuples(set map[predict.Tuple]bool) []predict.Tuple {
-	out := make([]predict.Tuple, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return tupleLess(out[i], out[j]) })
-	return out
-}
-
-func tupleLess(a, b predict.Tuple) bool {
-	if a.Alloc != b.Alloc {
-		return a.Alloc < b.Alloc
-	}
-	return a.Kind < b.Kind
 }
 
 // exploreConfig records one configuration (the masked example is built

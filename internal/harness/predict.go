@@ -107,7 +107,7 @@ func predictConfig(c suiteConfig) (predictRun, error) {
 	run := predictRun{bench: c.bench, observed: observed,
 		predicted: map[predict.Tuple]bool{}, perturbed: map[predict.Tuple]bool{}}
 	for _, p := range res.Predictions {
-		t := predict.Tuple{Alloc: p.Alloc, Kind: p.Record.Kind}
+		t := p.Tuple()
 		run.predicted[t] = true
 		if observed[t] || run.perturbed[t] {
 			continue
@@ -205,7 +205,7 @@ func sortedBenchTuples(set map[BenchTuple]bool) []BenchTuple {
 		if out[i].Bench != out[j].Bench {
 			return out[i].Bench < out[j].Bench
 		}
-		return tupleLess(out[i].Tuple, out[j].Tuple)
+		return out[i].Tuple.Less(out[j].Tuple)
 	})
 	return out
 }

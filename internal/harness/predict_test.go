@@ -38,6 +38,11 @@ func TestPredictSuite(t *testing.T) {
 	for _, b := range rep.Benches {
 		t.Logf("  %-36s observed %2d  predicted %2d", b.Bench, b.Observed, b.Predicted)
 	}
+	got := [...]int{rep.Runs, len(rep.Observed), len(rep.Predicted), len(rep.Missed),
+		rep.ConfirmedObserved, rep.ConfirmedPerturbed, rep.Justified, len(rep.Unjustified), len(rep.Stale)}
+	if want := [...]int{71, 56, 60, 0, 56, 0, 4, 0, 0}; got != want {
+		t.Errorf("runs, observed, predicted, missed; discharged observed, perturbed, justified; unjustified, stale = %v, want %v", got, want)
+	}
 }
 
 // TestPredictMicros runs the predict gate's jobs on the 32 micros at two

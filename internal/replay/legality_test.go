@@ -56,7 +56,8 @@ func recordLegalityOps(t *testing.T, name string) []tracefile.Op {
 // TestCheckScheduleAcceptsPerturbations: seeded random walks of
 // Swappable adjacent exchanges and PerturbTarget's greedy walk both emit
 // products of Swappable exchanges by construction, so the closed-form
-// checker must accept all of them.
+// checker must accept all of them. Every pair the greedy walk is driven
+// on must also give the reference walk's schedule.
 func TestCheckScheduleAcceptsPerturbations(t *testing.T) {
 	ops := recordLegalityOps(t, "fence.racey.cross-none")
 	if err := replay.CheckSchedule(ops, ops); err != nil {
@@ -85,12 +86,12 @@ func TestCheckScheduleAcceptsPerturbations(t *testing.T) {
 			if ops[i].Kind != tracefile.OpAccess || ops[j].Kind != tracefile.OpAccess {
 				continue
 			}
-			pops, _, _, ok := replay.PerturbTarget(ops, i, j)
+			perm, ok := perturbChecked(t, ops, i, j)
 			if !ok {
 				continue
 			}
 			pairs++
-			if err := replay.CheckSchedule(ops, pops); err != nil {
+			if err := replay.CheckSchedule(ops, replay.Schedule(ops, perm)); err != nil {
 				t.Fatalf("pair (%d,%d): PerturbTarget schedule rejected: %v", i, j, err)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"scord/internal/analysis/predict"
 	"scord/internal/config"
 	"scord/internal/core"
 	"scord/internal/gpu"
@@ -43,6 +44,70 @@ func recordOps(t *testing.T, b scor.Benchmark, cfg config.Config) (tracefile.Hea
 		t.Fatal(err)
 	}
 	return tr.Header(), ops
+}
+
+// referencePerturb is PerturbTarget's greedy walk as it was first
+// written: it copies the whole trace and swaps ops in the copy.
+// PerturbTarget swaps permutation entries instead; the two must agree.
+func referencePerturb(ops []tracefile.Op, i, j int) ([]tracefile.Op, int, int, bool) {
+	if i < 0 || j >= len(ops) || i >= j {
+		return nil, 0, 0, false
+	}
+	out := make([]tracefile.Op, len(ops))
+	copy(out, ops)
+	for {
+		moved := false
+		for j > i+1 && replay.Swappable(out[j-1], out[j]) {
+			out[j-1], out[j] = out[j], out[j-1]
+			j--
+			moved = true
+		}
+		for j > i+1 && replay.Swappable(out[i], out[i+1]) {
+			out[i], out[i+1] = out[i+1], out[i]
+			i++
+			moved = true
+		}
+		if j == i+1 || !moved {
+			return out, i, j, j == i+1
+		}
+	}
+}
+
+// perturbChecked runs PerturbTarget on the pair and fails t unless its
+// permutation, materialized by replay.Schedule, is the reference walk's
+// schedule, with the same new positions and verdict.
+func perturbChecked(t *testing.T, ops []tracefile.Op, i, j int) ([]int32, bool) {
+	t.Helper()
+	perm, ni, nj, ok := replay.PerturbTarget(ops, i, j)
+	want, wi, wj, wok := referencePerturb(ops, i, j)
+	if ni != wi || nj != wj || ok != wok {
+		t.Fatalf("pair (%d,%d): PerturbTarget gives (%d, %d, %v), the reference (%d, %d, %v)", i, j, ni, nj, ok, wi, wj, wok)
+	}
+	if got := replay.Schedule(ops, perm); !reflect.DeepEqual(got, want) {
+		t.Fatalf("pair (%d,%d): PerturbTarget's schedule differs from the reference walk's", i, j)
+	}
+	return perm, ok
+}
+
+// TestPerturbTargetMatchesReference drives every prediction witness of
+// the 32 micros through both walks.
+func TestPerturbTargetMatchesReference(t *testing.T) {
+	cfg := config.Default().WithDetector(config.ModeFull4B)
+	witnesses := 0
+	for _, m := range micro.All() {
+		h, ops := recordOps(t, m, cfg)
+		res, err := predict.Run(h, ops, predict.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name(), err)
+		}
+		for _, p := range res.Predictions {
+			perturbChecked(t, ops, p.Witness.Prev, p.Witness.Cur)
+			witnesses++
+		}
+	}
+	if witnesses == 0 {
+		t.Fatal("no micro has a prediction; test exercises nothing")
+	}
 }
 
 // TestPerturbTarget checks the targeted mode: the returned schedule is a
@@ -86,10 +151,11 @@ func TestPerturbTarget(t *testing.T) {
 	}
 	i, j := pick()
 
-	out, ni, nj, ok := replay.PerturbTarget(ops, i, j)
+	perm, ni, nj, ok := replay.PerturbTarget(ops, i, j)
 	if !ok {
 		t.Fatalf("adjacency not reached for clear pair (%d, %d)", i, j)
 	}
+	out := replay.Schedule(ops, perm)
 	if nj != ni+1 {
 		t.Fatalf("reported indices not adjacent: %d, %d", ni, nj)
 	}
@@ -123,8 +189,8 @@ func TestPerturbTarget(t *testing.T) {
 	}
 
 	// Determinism and input immutability.
-	out2, ni2, nj2, ok2 := replay.PerturbTarget(ops, i, j)
-	if !ok2 || ni2 != ni || nj2 != nj || !reflect.DeepEqual(out, out2) {
+	perm2, ni2, nj2, ok2 := replay.PerturbTarget(ops, i, j)
+	if !ok2 || ni2 != ni || nj2 != nj || !reflect.DeepEqual(perm, perm2) {
 		t.Fatal("PerturbTarget is not deterministic")
 	}
 }
@@ -172,15 +238,15 @@ func TestPerturbTargetBlocked(t *testing.T) {
 	if i < 0 || j < 0 {
 		t.Skip("no cross-warp pair straddles the fence")
 	}
-	out, ni, nj, ok := replay.PerturbTarget(ops, i, j)
+	perm, ni, nj, ok := replay.PerturbTarget(ops, i, j)
 	if ok {
 		t.Fatalf("pair (%d, %d) straddling the fence at %d reported adjacent", i, j, fence)
 	}
 	if nj <= ni {
 		t.Fatalf("indices out of order: %d, %d", ni, nj)
 	}
-	if len(out) != len(ops) {
-		t.Fatalf("length changed: %d -> %d", len(ops), len(out))
+	if len(perm) != len(ops) {
+		t.Fatalf("permutation has %d entries for %d ops", len(perm), len(ops))
 	}
 }
 
@@ -232,13 +298,14 @@ func TestPerturbTargetBarrierSeparated(t *testing.T) {
 		t.Fatalf("no cross-warp access pair straddles the barrier at %d", barrier)
 	}
 
-	out, ni, nj, ok := replay.PerturbTarget(ops, i, j)
+	perm, ni, nj, ok := replay.PerturbTarget(ops, i, j)
 	if ok {
 		t.Fatalf("pair (%d, %d) straddling the barrier at %d reported adjacent", i, j, barrier)
 	}
 	if nj <= ni+1 {
 		t.Fatalf("not-adjacent result has adjacent indices: %d, %d", ni, nj)
 	}
+	out := replay.Schedule(ops, perm)
 	if len(out) != len(ops) {
 		t.Fatalf("length changed: %d -> %d", len(ops), len(out))
 	}
@@ -273,10 +340,11 @@ func TestPerturbTargetBarrierWalk(t *testing.T) {
 		acc(0, 16), // filler
 		acc(1, 24), // j: must retreat past the warp-0 filler, then stop
 	}
-	out, ni, nj, ok := replay.PerturbTarget(ops, 0, 4)
+	perm, ni, nj, ok := replay.PerturbTarget(ops, 0, 4)
 	if ok {
 		t.Fatalf("barrier-separated pair reported adjacent: ni=%d nj=%d", ni, nj)
 	}
+	out := replay.Schedule(ops, perm)
 	if ni != 1 || nj != 3 {
 		t.Fatalf("walk stopped at (%d, %d), want (1, 3) — flush against the barrier", ni, nj)
 	}
@@ -295,8 +363,8 @@ func TestPerturbTargetInvalidArgs(t *testing.T) {
 	bench := &scor.Conv1D{N: 256, Taps: 5, Blocks: 2, TPB: 32}
 	_, ops := recordOps(t, bench, cfg)
 	for _, c := range [][2]int{{-1, 5}, {5, 5}, {7, 3}, {0, len(ops)}} {
-		if _, _, _, ok := replay.PerturbTarget(ops, c[0], c[1]); ok {
-			t.Errorf("PerturbTarget(%d, %d) unexpectedly ok", c[0], c[1])
+		if perm, _, _, ok := replay.PerturbTarget(ops, c[0], c[1]); ok || perm != nil {
+			t.Errorf("PerturbTarget(%d, %d) unexpectedly ok or made a permutation", c[0], c[1])
 		}
 	}
 }

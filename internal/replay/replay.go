@@ -247,8 +247,8 @@ func Run(r *tracefile.Reader, t Target) (*Result, error) {
 	return res, nil
 }
 
-// RunOps replays an in-memory op sequence (e.g. a perturbed one) under
-// the given header's configuration.
+// RunOps replays an in-memory op sequence, in order, under the given
+// header's configuration.
 func RunOps(h tracefile.Header, ops []tracefile.Op, t Target) (*Result, error) {
 	res := newResult(h, t)
 	for i := range ops {
@@ -262,18 +262,19 @@ func RunOps(h tracefile.Header, ops []tracefile.Op, t Target) (*Result, error) {
 
 // RunOpsPermuted replays ops in the order given by perm (perm[k] is the
 // index into ops of the k-th op to apply) under the given header's
-// configuration. The schedule explorer uses this to replay thousands of
-// candidate interleavings of one decoded trace without materializing a
-// reordered op slice per schedule. perm must be a permutation of
-// [0, len(ops)); only its length and range are validated here —
-// legality of the interleaving is the caller's contract (CheckSchedule).
-func RunOpsPermuted(h tracefile.Header, ops []tracefile.Op, perm []int, t Target) (*Result, error) {
+// configuration. A reordered schedule, whether the explorer's or
+// PerturbTarget's, is such a permutation of one decoded trace, so no
+// schedule materializes a reordered op slice to be replayed. perm must
+// be a permutation of [0, len(ops)); only its length and range are
+// validated here — legality of the interleaving is the caller's
+// contract (CheckSchedule).
+func RunOpsPermuted(h tracefile.Header, ops []tracefile.Op, perm []int32, t Target) (*Result, error) {
 	if len(perm) != len(ops) {
 		return nil, fmt.Errorf("replay: permutation has %d entries for %d ops", len(perm), len(ops))
 	}
 	res := newResult(h, t)
 	for _, idx := range perm {
-		if idx < 0 || idx >= len(ops) {
+		if idx < 0 || int(idx) >= len(ops) {
 			return nil, fmt.Errorf("replay: permutation entry %d out of range [0,%d)", idx, len(ops))
 		}
 		if err := res.apply(t, &ops[idx]); err != nil {
